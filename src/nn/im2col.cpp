@@ -1,42 +1,36 @@
 #include "nn/im2col.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace mw::nn {
 
+// The sample is first copied into a zero-bordered plane, so no k-wide run of
+// a patch row needs a bounds check. Scratch buffers are per thread and only
+// grow, so a steady stream of convolutions allocates nothing.
 void im2col_same(const float* input, std::size_t in_ch, std::size_t h, std::size_t w,
-                 std::size_t k, Tensor& columns) {
+                 std::size_t k, float* patches) {
     MW_CHECK(k % 2 == 1, "im2col_same requires an odd filter size");
-    const std::size_t rows = in_ch * k * k;
-    const std::size_t cols = h * w;
-    MW_CHECK(columns.shape() == Shape({rows, cols}), "columns tensor has wrong shape");
-    const auto pad = static_cast<std::ptrdiff_t>(k / 2);
-
-    float* dst = columns.data();
+    const std::size_t pad = k / 2;
+    const std::size_t ph = h + 2 * pad;
+    const std::size_t pw = w + 2 * pad;
+    thread_local std::vector<float> padded;
+    padded.assign(in_ch * ph * pw, 0.0F);
     for (std::size_t c = 0; c < in_ch; ++c) {
-        const float* plane = input + c * h * w;
-        for (std::size_t ky = 0; ky < k; ++ky) {
-            for (std::size_t kx = 0; kx < k; ++kx) {
-                // Row (c, ky, kx): the input shifted by (ky - pad, kx - pad).
-                for (std::size_t y = 0; y < h; ++y) {
-                    const auto yy = static_cast<std::ptrdiff_t>(y + ky) - pad;
-                    float* row_dst = dst + y * w;
-                    if (yy < 0 || yy >= static_cast<std::ptrdiff_t>(h)) {
-                        std::memset(row_dst, 0, w * sizeof(float));
-                        continue;
-                    }
-                    const float* src_row = plane + static_cast<std::size_t>(yy) * w;
-                    const auto shift = static_cast<std::ptrdiff_t>(kx) - pad;
-                    for (std::size_t x = 0; x < w; ++x) {
-                        const auto xx = static_cast<std::ptrdiff_t>(x) + shift;
-                        row_dst[x] = (xx < 0 || xx >= static_cast<std::ptrdiff_t>(w))
-                                         ? 0.0F
-                                         : src_row[static_cast<std::size_t>(xx)];
-                    }
+        for (std::size_t y = 0; y < h; ++y) {
+            std::copy_n(input + (c * h + y) * w, w, padded.data() + (c * ph + y + pad) * pw + pad);
+        }
+    }
+    float* dst = patches;
+    for (std::size_t y = 0; y < h; ++y) {
+        for (std::size_t x = 0; x < w; ++x) {
+            for (std::size_t c = 0; c < in_ch; ++c) {
+                for (std::size_t dy = 0; dy < k; ++dy, dst += k) {
+                    std::copy_n(padded.data() + (c * ph + y + dy) * pw + x, k, dst);
                 }
-                dst += cols;
             }
         }
     }
@@ -57,32 +51,26 @@ void conv2d_im2col(const Tensor& in, const Tensor& weights, const Tensor& bias, 
     MW_CHECK(bias.numel() == filters, "bias size mismatch");
     MW_CHECK(out.shape() == Shape({batch, filters, h, w}), "output shape mismatch");
 
-    const std::size_t patch_rows = in_ch * k * k;
+    const std::size_t taps = in_ch * k * k;
     const std::size_t plane = h * w;
 
-    auto run_sample = [&](std::size_t b) {
-        Tensor columns(Shape{patch_rows, plane});
-        im2col_same(in.data() + b * in_ch * plane, in_ch, h, w, k, columns);
-        // out[b] (filters x plane) = W (filters x patch_rows) * columns.
+    auto run_sample = [&](std::size_t b, ThreadPool* gemm_pool) {
+        thread_local std::vector<float> patches;
+        patches.resize(plane * taps);
+        im2col_same(in.data() + b * in_ch * plane, in_ch, h, w, k, patches.data());
         float* out_base = out.data() + b * filters * plane;
+        gemm_bt(weights.data(), patches.data(), out_base, filters, taps, plane, gemm_pool);
         for (std::size_t f = 0; f < filters; ++f) {
-            const float* w_row = weights.data() + f * patch_rows;
             float* out_row = out_base + f * plane;
             const float fb = bias.at(f);
-            for (std::size_t x = 0; x < plane; ++x) out_row[x] = fb;
-            for (std::size_t r = 0; r < patch_rows; ++r) {
-                const float wv = w_row[r];
-                if (wv == 0.0F) continue;
-                const float* col_row = columns.data() + r * plane;
-                for (std::size_t x = 0; x < plane; ++x) out_row[x] += wv * col_row[x];
-            }
+            for (std::size_t x = 0; x < plane; ++x) out_row[x] += fb;
         }
     };
 
     if (pool && batch > 1) {
-        pool->parallel_for(0, batch, run_sample, 1);
+        pool->parallel_for(0, batch, [&](std::size_t b) { run_sample(b, nullptr); }, 1);
     } else {
-        for (std::size_t b = 0; b < batch; ++b) run_sample(b);
+        for (std::size_t b = 0; b < batch; ++b) run_sample(b, pool);
     }
 }
 

@@ -1,8 +1,8 @@
-// im2col + GEMM convolution: the classical alternative formulation of the
-// convolution kernel (§IV-B of the paper weighs such layout/kernel choices).
-// Lowering the input into a patch matrix turns the convolution into one
-// large GEMM, which vectorises far better than the direct loops for wide
-// filter banks at the cost of materialising the patch matrix.
+// im2col + GEMM convolution, the only Conv2d forward path. Lowering each
+// sample into one patch row per output pixel turns the convolution into a
+// gemm_bt against the (filters, in_ch * k * k) weight matrix, so convolution
+// runs on the same register-blocked kernel as Dense and inherits its fixed
+// summation order (§IV-B of the paper weighs such layout/kernel choices).
 #pragma once
 
 #include "common/thread_pool.hpp"
@@ -10,15 +10,16 @@
 
 namespace mw::nn {
 
-/// Lower one sample (in_ch, h, w) with same-padding into the patch matrix
-/// `columns` of shape (in_ch * k * k, h * w). `k` must be odd.
+/// Lower one sample (in_ch, h, w) with same-padding into `patches`, an
+/// (h * w, in_ch * k * k) row-major matrix: row y * w + x holds the k x k
+/// window around (y, x) of every channel, in (c, ky, kx) order. `k` must be
+/// odd.
 void im2col_same(const float* input, std::size_t in_ch, std::size_t h, std::size_t w,
-                 std::size_t k, Tensor& columns);
+                 std::size_t k, float* patches);
 
-/// Convolution via im2col + GEMM; drop-in equivalent of Conv2d::forward for
-/// stride-1 same-padded convolutions. `weights` is (filters, in_ch, k, k),
-/// `bias` is (filters); `out` must be (batch, filters, h, w). The result
-/// matches the direct kernels to float rounding.
+/// Stride-1 same-padded convolution: out[b] = W · patches(b)ᵀ + bias.
+/// `weights` is (filters, in_ch, k, k), `bias` is (filters); `out` must be
+/// (batch, filters, h, w).
 void conv2d_im2col(const Tensor& in, const Tensor& weights, const Tensor& bias, Tensor& out,
                    ThreadPool* pool = nullptr);
 

@@ -70,13 +70,15 @@ std::size_t Model::bytes_per_sample() const { return desc_.input_elems * sizeof(
 
 Tensor Model::forward(const Tensor& input, ThreadPool* pool) const {
     MW_CHECK(input.shape() == input_shape(input.shape()[0]), "model input shape mismatch");
-    Tensor current(input);
+    const Tensor* current = &input;
+    Tensor result;
     for (const auto& layer : layers_) {
-        Tensor next(layer->output_shape(current.shape()));
-        layer->forward(current, next, pool);
-        current = std::move(next);
+        Tensor next(layer->output_shape(current->shape()));
+        layer->forward(*current, next, pool);
+        result = std::move(next);
+        current = &result;
     }
-    return current;
+    return result;
 }
 
 std::vector<Tensor> Model::forward_collect(const Tensor& input, ThreadPool* pool) const {

@@ -8,15 +8,21 @@
 
 namespace mw {
 
-/// C = A(m x k) * B(k x n). Blocked inner loops; rows of C are distributed
-/// across `pool` when it is non-null and m is large enough to amortise.
+/// C = A(m x k) * B(k x n). Ranges of rows of C are distributed across
+/// `pool` when it is non-null and m is large enough to amortise.
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool = nullptr);
 
 /// C = A(m x k) * B^T where Bt is stored (n x k). This matches the dense
 /// layer layout (weights stored one row per output node) and keeps both
 /// operands streaming row-major — the access pattern §IV-B of the paper
-/// settles on for CPU SIMD friendliness.
+/// settles on for CPU SIMD friendliness. Register-blocked; each C(i, j) is
+/// summed in one fixed order, so it depends only on A row i and Bt row j:
+/// never on m, the row's position, the tiling or `pool`.
 void gemm_bt(const Tensor& a, const Tensor& bt, Tensor& c, ThreadPool* pool = nullptr);
+
+/// gemm_bt on raw row-major buffers: a (m x k), bt (n x k), c (m x n).
+void gemm_bt(const float* a, const float* bt, float* c, std::size_t m, std::size_t k,
+             std::size_t n, ThreadPool* pool = nullptr);
 
 /// y(m x n) += bias(n), broadcast over rows.
 void add_bias_rows(Tensor& y, const Tensor& bias);

@@ -3,6 +3,7 @@
 // weight serialization and the analytic cost accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 
@@ -414,7 +415,42 @@ TEST(Model, ParallelForwardMatchesSerial) {
     const Tensor serial = m.forward(x);
     ThreadPool pool(3);
     const Tensor parallel = m.forward(x, &pool);
-    EXPECT_LT(serial.max_abs_diff(parallel), 1e-6F);
+    EXPECT_EQ(serial.max_abs_diff(parallel), 0.0F);
+}
+
+/// Row `row` of a batch-major tensor, as a batch-1 tensor.
+Tensor batch_row(const Tensor& t, std::size_t row) {
+    Tensor out(t.shape().with_batch(1));
+    std::copy_n(t.data() + row * out.numel(), out.numel(), out.data());
+    return out;
+}
+
+TEST(Model, RowOutputIndependentOfBatchAndPosition) {
+    // An odd batch of 5 ends in a partial row tile of gemm_bt. Each row's
+    // output must equal its batch-1 forward and its output when the batch
+    // is reversed, bit for bit.
+    constexpr std::size_t kBatch = 5;
+    for (const ModelSpec& spec : zoo::paper_models()) {
+        const Model m = build_model(spec, 7);
+        Rng rng(21);
+        Tensor x(m.input_shape(kBatch));
+        x.fill_uniform(rng, 0.0F, 1.0F);
+        Tensor reversed(x.shape());
+        const std::size_t per_row = x.numel() / kBatch;
+        for (std::size_t r = 0; r < kBatch; ++r) {
+            std::copy_n(x.data() + r * per_row, per_row,
+                        reversed.data() + (kBatch - 1 - r) * per_row);
+        }
+        const Tensor out = m.forward(x);
+        const Tensor out_reversed = m.forward(reversed);
+        for (std::size_t r = 0; r < kBatch; ++r) {
+            const Tensor row = batch_row(out, r);
+            EXPECT_EQ(row.max_abs_diff(m.forward(batch_row(x, r))), 0.0F)
+                << spec.name << " row " << r;
+            EXPECT_EQ(row.max_abs_diff(batch_row(out_reversed, kBatch - 1 - r)), 0.0F)
+                << spec.name << " row " << r;
+        }
+    }
 }
 
 }  // namespace

@@ -119,40 +119,76 @@ TEST(ModelFile, DispatcherDynamicallyAddsModel) {
 // ---- im2col convolution -----------------------------------------------------
 
 TEST(Im2col, PatchMatrixOfIdentityKernelPosition) {
-    // A 1-channel 3x3 input, k=3: the centre row of the patch matrix (ky=1,
-    // kx=1) must equal the flattened input.
+    // A 1-channel 3x3 input, k=3: one patch row per pixel, one column per tap
+    // (c, ky, kx). The centre tap (ky=1, kx=1) of every pixel is the pixel.
     Tensor in(Shape{1, 1, 3, 3});
     for (std::size_t i = 0; i < 9; ++i) in.at(i) = static_cast<float>(i + 1);
-    Tensor columns(Shape{9, 9});
-    im2col_same(in.data(), 1, 3, 3, 3, columns);
+    Tensor patches(Shape{9, 9});
+    im2col_same(in.data(), 1, 3, 3, 3, patches.data());
     for (std::size_t i = 0; i < 9; ++i) {
-        EXPECT_EQ(columns.at(4, i), static_cast<float>(i + 1));  // row (0,1,1)
+        EXPECT_EQ(patches.at(i, 4), static_cast<float>(i + 1));  // tap (0,1,1)
     }
-    // Top-left tap (ky=0,kx=0) shifts down-right with zero padding at (0,*).
-    EXPECT_EQ(columns.at(0, 0), 0.0F);
-    EXPECT_EQ(columns.at(0, 4), 1.0F);  // centre pixel sees input(0,0)
+    // Top-left tap (ky=0,kx=0): zero padding for pixel (0,0); the centre
+    // pixel's top-left neighbour is input(0,0).
+    EXPECT_EQ(patches.at(0, 0), 0.0F);
+    EXPECT_EQ(patches.at(4, 0), 1.0F);
+    // Bottom-right tap of pixel (1,1) is input(2,2); of pixel (2,2), padding.
+    EXPECT_EQ(patches.at(4, 8), 9.0F);
+    EXPECT_EQ(patches.at(8, 8), 0.0F);
+}
+
+/// Reference convolution: the direct same-padded loop, summed in double.
+Tensor naive_conv(Conv2d& conv, const Tensor& in) {
+    Tensor out(conv.output_shape(in.shape()));
+    const std::size_t batch = in.shape()[0];
+    const std::size_t channels = in.shape()[1];
+    const std::size_t h = in.shape()[2];
+    const std::size_t w = in.shape()[3];
+    const std::size_t k = conv.filter_size();
+    const std::size_t pad = k / 2;
+    for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t f = 0; f < conv.filters(); ++f) {
+            for (std::size_t y = 0; y < h; ++y) {
+                for (std::size_t x = 0; x < w; ++x) {
+                    double acc = conv.bias().at(f);
+                    for (std::size_t c = 0; c < channels; ++c) {
+                        for (std::size_t ky = 0; ky < k; ++ky) {
+                            for (std::size_t kx = 0; kx < k; ++kx) {
+                                // Unsigned wrap-around puts padding taps >= h / w.
+                                const std::size_t yy = y + ky - pad;
+                                const std::size_t xx = x + kx - pad;
+                                if (yy >= h || xx >= w) continue;
+                                acc += static_cast<double>(
+                                           conv.weights().at(((f * channels + c) * k + ky) * k + kx)) *
+                                       in.at(((b * channels + c) * h + yy) * w + xx);
+                            }
+                        }
+                    }
+                    out.at(((b * conv.filters() + f) * h + y) * w + x) = static_cast<float>(acc);
+                }
+            }
+        }
+    }
+    apply_activation(conv.activation(), out);
+    return out;
 }
 
 class ConvEquivalence : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
 TEST_P(ConvEquivalence, Im2colMatchesDirect) {
     const auto [in_ch, filters, k, hw] = GetParam();
-    Conv2d direct(in_ch, filters, k, Activation::kRelu);
+    Conv2d conv(in_ch, filters, k, Activation::kRelu);
     Rng rng(11);
-    direct.weights().fill_normal(rng, 0.0F, 0.2F);
-    direct.bias().fill_uniform(rng, -0.1F, 0.1F);
+    conv.weights().fill_normal(rng, 0.0F, 0.2F);
+    conv.bias().fill_uniform(rng, -0.1F, 0.1F);
 
     Tensor in(Shape{3, static_cast<std::size_t>(in_ch), static_cast<std::size_t>(hw),
                     static_cast<std::size_t>(hw)});
     in.fill_normal(rng, 0.0F, 1.0F);
-    Tensor out_direct(direct.output_shape(in.shape()));
-    direct.forward(in, out_direct, nullptr);
+    Tensor out(conv.output_shape(in.shape()));
+    conv.forward(in, out, nullptr);
 
-    direct.set_algorithm(ConvAlgorithm::kIm2col);
-    Tensor out_lowered(direct.output_shape(in.shape()));
-    direct.forward(in, out_lowered, nullptr);
-
-    EXPECT_LT(out_direct.max_abs_diff(out_lowered), 2e-4F);
+    EXPECT_LT(naive_conv(conv, in).max_abs_diff(out), 2e-4F);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ConvEquivalence,
@@ -164,30 +200,37 @@ TEST(Im2col, ParallelMatchesSerial) {
     Conv2d conv(3, 16, 3, Activation::kIdentity);
     Rng rng(12);
     conv.weights().fill_normal(rng, 0.0F, 0.2F);
-    conv.set_algorithm(ConvAlgorithm::kIm2col);
-    Tensor in(Shape{6, 3, 16, 16});
-    in.fill_normal(rng, 0.0F, 1.0F);
-    Tensor serial(conv.output_shape(in.shape()));
-    conv.forward(in, serial, nullptr);
     ThreadPool pool(3);
-    Tensor parallel(conv.output_shape(in.shape()));
-    conv.forward(in, parallel, &pool);
-    EXPECT_LT(serial.max_abs_diff(parallel), 1e-6F);
+    for (const std::size_t batch : {1U, 6U}) {
+        Tensor in(Shape{batch, 3, 16, 16});
+        in.fill_normal(rng, 0.0F, 1.0F);
+        Tensor serial(conv.output_shape(in.shape()));
+        conv.forward(in, serial, nullptr);
+        Tensor parallel(conv.output_shape(in.shape()));
+        conv.forward(in, parallel, &pool);
+        EXPECT_EQ(serial.max_abs_diff(parallel), 0.0F) << "batch " << batch;
+    }
 }
 
 TEST(Im2col, FullModelForwardEquivalent) {
-    // Flip every conv layer of mnist-cnn to im2col; predictions must match.
-    Model direct = build_model(zoo::mnist_cnn(), 9);
-    Model lowered = build_model(zoo::mnist_cnn(), 9);
-    for (std::size_t li = 0; li < lowered.layer_count(); ++li) {
-        if (auto* conv = dynamic_cast<Conv2d*>(&lowered.layer(li))) {
-            conv->set_algorithm(ConvAlgorithm::kIm2col);
-        }
-    }
+    // mnist-cnn run layer by layer with every conv layer replaced by the
+    // reference loop; predictions must match the model's own forward.
+    Model model = build_model(zoo::mnist_cnn(), 9);
     Rng rng(13);
-    Tensor x(direct.input_shape(4));
+    Tensor x(model.input_shape(4));
     x.fill_uniform(rng, 0.0F, 1.0F);
-    EXPECT_LT(direct.forward(x).max_abs_diff(lowered.forward(x)), 1e-4F);
+    Tensor reference(x);
+    for (std::size_t li = 0; li < model.layer_count(); ++li) {
+        Layer& layer = model.layer(li);
+        if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
+            reference = naive_conv(*conv, reference);
+            continue;
+        }
+        Tensor next(layer.output_shape(reference.shape()));
+        layer.forward(reference, next, nullptr);
+        reference = std::move(next);
+    }
+    EXPECT_LT(model.forward(x).max_abs_diff(reference), 1e-4F);
 }
 
 }  // namespace

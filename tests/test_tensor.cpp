@@ -1,6 +1,8 @@
 // Unit tests for shapes, tensors and the linear-algebra kernels.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "tensor/shape.hpp"
@@ -124,7 +126,7 @@ TEST(Gemm, ParallelMatchesSerial) {
     gemm(a, b, serial);
     ThreadPool pool(3);
     gemm(a, b, parallel, &pool);
-    EXPECT_LT(serial.max_abs_diff(parallel), 1e-5F);
+    EXPECT_EQ(serial.max_abs_diff(parallel), 0.0F);
 }
 
 TEST(GemmBt, EquivalentToGemmWithTranspose) {
@@ -146,6 +148,67 @@ TEST(GemmBt, EquivalentToGemmWithTranspose) {
     gemm(a, b, c1);
     gemm_bt(a, bt, c2);
     EXPECT_LT(c1.max_abs_diff(c2), 1e-4F);
+}
+
+TEST(GemmBt, MatchesDoubleReferenceOnTileEdges) {
+    // Every m, n below or across the register tile edges, k across the
+    // four-lane width and at the zoo's 784. Tolerance: the worst-case
+    // rounding bound gamma_d * sum|a_i b_i| of a float dot product summed to
+    // depth d = k/4 + 6 (a lane's k/4 products, the lane reduction and the
+    // k % 4 tail), with gamma_d = d u / (1 - d u) and u = 2^-24.
+    Rng rng(4);
+    for (const std::size_t m : {1U, 2U, 3U, 5U, 17U}) {
+        for (const std::size_t n : {1U, 2U, 3U, 5U, 17U}) {
+            for (const std::size_t k : {1U, 3U, 4U, 7U, 784U}) {
+                Tensor a(Shape{m, k});
+                Tensor bt(Shape{n, k});
+                a.fill_normal(rng, 0.0F, 1.0F);
+                bt.fill_normal(rng, 0.0F, 1.0F);
+                Tensor c(Shape{m, n});
+                gemm_bt(a, bt, c);
+                const double du = static_cast<double>(k / 4 + 6) * 0x1p-24;
+                const double gamma = du / (1.0 - du);
+                for (std::size_t i = 0; i < m; ++i) {
+                    for (std::size_t j = 0; j < n; ++j) {
+                        double ref = 0.0;
+                        double magnitude = 0.0;
+                        for (std::size_t kk = 0; kk < k; ++kk) {
+                            const double p = static_cast<double>(a.at(i, kk)) * bt.at(j, kk);
+                            ref += p;
+                            magnitude += std::abs(p);
+                        }
+                        EXPECT_LE(std::abs(c.at(i, j) - ref), gamma * magnitude)
+                            << "m=" << m << " n=" << n << " k=" << k << " at " << i << "," << j;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(GemmBt, RowIndependentOfBatchPositionAndPool) {
+    // Row i of C is bit-identical whether computed alone, inside a batch
+    // of any height, or with rows split across a pool.
+    Rng rng(5);
+    const std::size_t k = 37;
+    const std::size_t n = 19;
+    Tensor bt(Shape{n, k});
+    bt.fill_normal(rng, 0.0F, 1.0F);
+    ThreadPool pool(3);
+    for (const std::size_t m : {2U, 3U, 33U}) {
+        Tensor a(Shape{m, k});
+        a.fill_normal(rng, 0.0F, 1.0F);
+        Tensor c(Shape{m, n});
+        gemm_bt(a, bt, c);
+        Tensor pooled(Shape{m, n});
+        gemm_bt(a, bt, pooled, &pool);
+        EXPECT_EQ(c.max_abs_diff(pooled), 0.0F);
+        for (std::size_t i = 0; i < m; ++i) {
+            Tensor one(Shape{1, n});
+            gemm_bt(a.data() + i * k, bt.data(), one.data(), 1, k, n);
+            for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(one.at(0, j), c.at(i, j));
+        }
+    }
 }
 
 TEST(Gemm, ShapeMismatchThrows) {
