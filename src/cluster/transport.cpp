@@ -78,8 +78,6 @@ void Transport::send(const std::string& from, const std::string& to, Frame frame
     busy = start + wire_s;
     heap_.push(InFlight{start + wire_s + link.latency_s + verdict.extra_delay_s, now,
                         next_seq_++, trace_id, from, to, std::move(frame)});
-    sent_.fetch_add(1, std::memory_order_relaxed);  // relaxed: monotonic stat, no data published
-    bytes_.fetch_add(frame_bytes, std::memory_order_relaxed);  // relaxed: monotonic stat, no data published
     if (sent_metric_ != nullptr) sent_metric_->inc();
     if (bytes_metric_ != nullptr) bytes_metric_->inc(frame_bytes);
     activity_.notify_one();

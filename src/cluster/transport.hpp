@@ -2,8 +2,8 @@
 // over per-link latency/bandwidth models. send() computes a delivery time on
 // the injected mw::Clock — max(now, link busy) + latency + bytes/bandwidth —
 // and queues the frame; delivery workers hand frames whose time has come to
-// the destination's handler. No wall clock is read anywhere (mw-lint:
-// wall-clock-in-cluster): tests and benches drive delivery by advancing a
+// the destination's handler. No wall clock is read anywhere (mw-analyze:
+// clock-confinement): tests and benches drive delivery by advancing a
 // ManualClock, so a "network" round trip is deterministic.
 //
 // The per-link busy_until models serialization on the wire: back-to-back
@@ -79,17 +79,11 @@ public:
     /// router completes their requests via its timeout/shutdown path.
     void stop();
 
-    [[nodiscard]] std::uint64_t frames_sent() const {
-        return sent_.load(std::memory_order_relaxed);  // relaxed: monotonic stat, no data published
-    }
     [[nodiscard]] std::uint64_t frames_delivered() const {
         return delivered_.load(std::memory_order_relaxed);  // relaxed: monotonic stat, no data published
     }
     [[nodiscard]] std::uint64_t frames_dropped() const {
         return dropped_.load(std::memory_order_relaxed);  // relaxed: monotonic stat, no data published
-    }
-    [[nodiscard]] std::uint64_t bytes_sent() const {
-        return bytes_.load(std::memory_order_relaxed);  // relaxed: monotonic stat, no data published
     }
     [[nodiscard]] std::size_t in_flight() const;
 
@@ -128,10 +122,8 @@ private:
     std::uint64_t next_seq_ MW_GUARDED_BY(mutex_) = 0;
     bool stopped_ MW_GUARDED_BY(mutex_) = false;
 
-    Atomic<std::uint64_t> sent_{0};
     Atomic<std::uint64_t> delivered_{0};
     Atomic<std::uint64_t> dropped_{0};
-    Atomic<std::uint64_t> bytes_{0};
 
     obs::Counter* sent_metric_ = nullptr;
     obs::Counter* delivered_metric_ = nullptr;

@@ -8,7 +8,6 @@
 namespace mw::log {
 namespace {
 
-Atomic<Level> g_level{Level::kWarn};
 Mutex g_sink_mutex{LockRank::kLogger};
 
 const char* level_tag(Level level) {
@@ -24,13 +23,7 @@ const char* level_tag(Level level) {
 
 }  // namespace
 
-void set_level(Level level) {
-    g_level.store(level, std::memory_order_relaxed);  // relaxed: scalar filter level
-}
-
-Level level() {
-    return g_level.load(std::memory_order_relaxed);  // relaxed: scalar filter level
-}
+Level level() { return Level::kWarn; }
 
 void emit(Level lvl, std::string_view msg) {
     if (lvl < level()) return;

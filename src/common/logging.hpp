@@ -9,9 +9,8 @@ namespace mw::log {
 
 enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Set the global minimum level that will be emitted (default: kWarn, so
-/// library code is silent in tests/benches unless something is wrong).
-void set_level(Level level);
+/// The minimum level that is emitted: kWarn, so library code is silent in
+/// tests/benches unless something is wrong.
 Level level();
 
 /// Emit a pre-formatted message at the given level.

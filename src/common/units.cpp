@@ -48,13 +48,6 @@ std::string format_energy(double joules) {
 
 std::string format_power(double watts) { return format("{:.1f} W", watts); }
 
-std::string format_bytes(double bytes) {
-    static constexpr std::array<Scale, 3> kScales{{{1024.0 * 1024 * 1024, "GiB"},
-                                                   {1024.0 * 1024, "MiB"},
-                                                   {1024.0, "KiB"}}};
-    return scaled(bytes, kScales, "B");
-}
-
 std::string format_count(std::uint64_t n) {
     if (n >= 1024ULL * 1024 && n % (1024ULL * 1024) == 0) return format("{}M", n >> 20);
     if (n >= 1024 && n % 1024 == 0) return format("{}K", n >> 10);

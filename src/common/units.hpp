@@ -30,9 +30,6 @@ std::string format_energy(double joules);
 /// Human-readable power, e.g. "95.0 W".
 std::string format_power(double watts);
 
-/// Human-readable byte count, e.g. "1.5 MiB".
-std::string format_bytes(double bytes);
-
 /// Compact integer count with K/M suffixes (sample sizes: "256K").
 std::string format_count(std::uint64_t n);
 

@@ -2,16 +2,6 @@
 
 namespace mw::device {
 
-std::string kind_name(DeviceKind kind) {
-    switch (kind) {
-        case DeviceKind::kCpu: return "cpu";
-        case DeviceKind::kIntegratedGpu: return "igpu";
-        case DeviceKind::kDiscreteGpu: return "dgpu";
-        case DeviceKind::kAccelerator: return "accel";
-    }
-    return "?";
-}
-
 DeviceParams i7_8700_params() {
     DeviceParams p;
     p.name = "i7-8700";

@@ -13,8 +13,6 @@ namespace mw::device {
 
 enum class DeviceKind { kCpu, kIntegratedGpu, kDiscreteGpu, kAccelerator };
 
-std::string kind_name(DeviceKind kind);
-
 /// Everything the execution model needs to price a workload on a device.
 struct DeviceParams {
     std::string name;

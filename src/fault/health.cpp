@@ -5,15 +5,6 @@
 
 namespace mw::fault {
 
-const char* breaker_state_name(BreakerState state) noexcept {
-    switch (state) {
-        case BreakerState::kClosed: return "closed";
-        case BreakerState::kOpen: return "open";
-        case BreakerState::kHalfOpen: return "half-open";
-    }
-    return "unknown";
-}
-
 DeviceHealthTracker::DeviceHealthTracker(HealthConfig config, const Clock& clock,
                                          obs::MetricsRegistry* metrics)
     : config_(config), clock_(&clock) {

@@ -45,11 +45,6 @@ void NetFaultInjector::revive_node(const std::string& name) {
     down_.erase(name);
 }
 
-bool NetFaultInjector::node_down(const std::string& name) const {
-    const MutexLock lock(mutex_);
-    return down_.count(name) > 0;
-}
-
 void NetFaultInjector::partition(std::vector<std::string> group) {
     const MutexLock lock(mutex_);
     group_.clear();

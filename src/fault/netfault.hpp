@@ -11,8 +11,8 @@
 // CI reproduces the same drop/delay pattern regardless of thread
 // interleaving or which links happen to be exercised first.
 //
-// Time is read only through the injected mw::Clock (mw-lint:
-// wall-clock-in-fault); drops emit kFault instants on that timeline.
+// Time is read only through the injected mw::Clock (mw-analyze:
+// clock-confinement); drops emit kFault instants on that timeline.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +56,6 @@ public:
     /// revive_node(). Models a crashed node, not a slow one.
     void kill_node(const std::string& name);
     void revive_node(const std::string& name);
-    [[nodiscard]] bool node_down(const std::string& name) const;
 
     /// Install a network partition: endpoints in `group` can reach only each
     /// other, everyone else can reach only each other. Frames crossing the

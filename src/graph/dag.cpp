@@ -55,16 +55,6 @@ nn::LayerCost Graph::total_cost() const {
     return total;
 }
 
-double Graph::boundary_bytes() const {
-    const auto cons = consumers();
-    double bytes = 0.0;
-    for (NodeId v = 0; v < nodes_.size(); ++v) {
-        bytes += nodes_[v].external_in_bytes;
-        if (cons[v].empty()) bytes += nodes_[v].out_bytes;
-    }
-    return bytes;
-}
-
 double Graph::worst_case_intensity() const {
     double flops = 0.0;
     double bytes = 0.0;

@@ -61,9 +61,6 @@ public:
     /// Aggregate cost over all operators (the monolithic-kernel view).
     [[nodiscard]] nn::LayerCost total_cost() const;
 
-    /// Total bytes read from + written to host memory at the graph boundary.
-    [[nodiscard]] double boundary_bytes() const;
-
     /// Arithmetic intensity: total flops / total tensor bytes moved if every
     /// edge spilled (the memory-bound vs compute-bound axis of the bench).
     [[nodiscard]] double worst_case_intensity() const;

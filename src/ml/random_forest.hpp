@@ -36,7 +36,6 @@ public:
     [[nodiscard]] std::vector<double> predict_proba(std::span<const double> row) const;
 
     [[nodiscard]] const ForestConfig& config() const { return config_; }
-    [[nodiscard]] std::size_t tree_count() const { return trees_.size(); }
 
 private:
     ForestConfig config_;

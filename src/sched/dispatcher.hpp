@@ -119,9 +119,6 @@ public:
     void set_fault_injector(fault::FaultInjector* injector) {
         injector_.store(injector, std::memory_order_release);
     }
-    [[nodiscard]] fault::FaultInjector* fault_injector() const {
-        return injector_.load(std::memory_order_acquire);
-    }
 
     [[nodiscard]] device::DeviceRegistry& registry() { return *registry_; }
 

@@ -13,10 +13,6 @@ constexpr double kQuiescenceGap = 1000.0;
 
 }  // namespace
 
-std::string gpu_state_name(GpuState state) {
-    return state == GpuState::kIdle ? "idle" : "warm";
-}
-
 MeasurementHarness::MeasurementHarness(device::DeviceRegistry& registry)
     : registry_(&registry) {}
 

@@ -17,8 +17,6 @@ namespace mw::sched {
 /// (the paper pins "Idle GTX 1080 Ti" vs "GTX 1080 Ti" separately).
 enum class GpuState { kIdle, kWarm };
 
-std::string gpu_state_name(GpuState state);
-
 /// One characterization sample.
 struct SweepPoint {
     std::string model_name;

@@ -26,15 +26,6 @@ namespace mw::serve {
 
 enum class BackpressurePolicy { kRejectNewest, kRejectOldest, kDeadlineShed };
 
-[[nodiscard]] inline std::string backpressure_name(BackpressurePolicy policy) {
-    switch (policy) {
-        case BackpressurePolicy::kRejectNewest: return "reject-newest";
-        case BackpressurePolicy::kRejectOldest: return "reject-oldest";
-        case BackpressurePolicy::kDeadlineShed: return "deadline-shed";
-    }
-    return "unknown";
-}
-
 struct AdmissionConfig {
     BackpressurePolicy policy = BackpressurePolicy::kRejectNewest;
     /// Applied to requests that carry no SLO of their own (0 = none).

@@ -8,7 +8,7 @@
 //
 // Time is injected (mw::Clock): benches and demos pass a WallClock, tests a
 // ManualClock — serve code itself never reads a wall clock (enforced by
-// mw-lint's `wall-clock-in-serve` rule). The clock's "now" doubles as the
+// mw-analyze's `clock-confinement` check). The clock's "now" doubles as the
 // simulated timestamp handed to the scheduler and the device layer.
 //
 // Thread safety: submit(), stats(), queue_depth() may be called from any

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <tuple>
 
 #include "scanner.hpp"
@@ -29,6 +30,24 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
 
 bool has_prefix(const std::string& s, const std::string& prefix) {
     return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+// Whether toks[ti] references `banned` ("name" or "std::name") in a way
+// `use` counts.
+bool banned_use(const std::vector<Token>& toks, std::size_t ti, std::string_view banned,
+                Use use) {
+    const bool std_only = banned.substr(0, 5) == "std::";
+    if (std_only) banned.remove_prefix(5);
+    if (toks[ti].kind != Tok::kIdent || toks[ti].text != banned) return false;
+    const bool scoped = ti >= 1 && toks[ti - 1].text == "::";
+    if (std_only && !(scoped && ti >= 2 && toks[ti - 2].text == "std")) return false;
+    const std::string next = ti + 1 < toks.size() ? toks[ti + 1].text : "";
+    switch (use) {
+        case Use::kAny: return true;
+        case Use::kCall: return next == "(" && (std_only || !scoped);
+        case Use::kNotScope: return next != "::";
+    }
+    return false;
 }
 
 // --- call resolution -------------------------------------------------------
@@ -209,6 +228,34 @@ AnalyzerConfig default_config() {
         {"src/common/epoch_cell.hpp", blocking_idents, "lock-free-confinement", lockfree_why},
         {"src/serve/sharded_queue.", blocking_idents, "lock-free-confinement", lockfree_why},
         {"src/serve/request_pool.", blocking_idents, "lock-free-confinement", lockfree_why},
+        // Repo-wide bans, each with its one sanctioned home.
+        {"src/", {"std::thread"}, "naked-thread",
+         "route work through mw::ThreadPool so shutdown, exception routing and sanitizer "
+         "coverage stay in one place",
+         {"src/common/thread_pool."}, Use::kNotScope},
+        {"src/",
+         {"std::mutex", "std::shared_mutex", "std::timed_mutex", "std::recursive_mutex",
+          "std::shared_timed_mutex", "std::condition_variable", "std::condition_variable_any",
+          "std::lock_guard", "std::unique_lock", "std::shared_lock", "std::scoped_lock"},
+         "raw-sync-primitive",
+         "use mw::Mutex / mw::SharedMutex / mw::CondVar and the RAII guards of "
+         "common/sync.hpp (rank-checked, thread-safety annotated)",
+         {"src/common/sync.hpp"}},
+        {"src/", {"assert", "<cassert>"}, "raw-assert",
+         "use MW_CHECK (precondition) or MW_ASSERT / MW_DCHECK (invariant), which NDEBUG "
+         "cannot compile out",
+         {}, Use::kCall},
+        {"src/", {"abort", "exit", "std::abort", "std::exit"}, "raw-abort",
+         "fatal paths go through the MW_* macros of common/error.hpp so they print where "
+         "and why",
+         {"src/common/error.hpp"}, Use::kCall},
+        {"src/",
+         {"std::chrono", "steady_clock", "system_clock", "high_resolution_clock",
+          "clock_gettime", "gettimeofday"},
+         "time-arith-confined",
+         "wall-clock time goes through mw::Stopwatch (common/timer.hpp) and timed waits "
+         "through mw::CondVar, the two sanctioned seconds conversions",
+         {"src/common/timer.hpp", "src/common/sync.hpp"}},
     };
     cfg.exempt_suffixes = {"common/sync.hpp"};
     return cfg;
@@ -513,18 +560,13 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
         }
     }
 
-    // Checks 3 + 4: token-level discipline (atomics, clocks).
+    // Checks 3 + 4: token-level discipline (atomics, the confinement table).
     for (const LexedFile& f : prog.files) {
         bool exempt = false;
         for (const std::string& suf : cfg.exempt_suffixes) {
             if (has_suffix(f.path, suf)) exempt = true;
         }
-        if (exempt) continue;
-        std::vector<const ConfinementRule*> conf;
-        for (const ConfinementRule& rule : cfg.confinement) {
-            if (has_prefix(f.path, rule.prefix)) conf.push_back(&rule);
-        }
-        for (std::size_t ti = 0; ti < f.tokens.size(); ++ti) {
+        for (std::size_t ti = 0; !exempt && ti < f.tokens.size(); ++ti) {
             const Token& t = f.tokens[ti];
             if (t.kind != Tok::kIdent) continue;
             if (t.text == "atomic" || t.text == "atomic_flag" || t.text == "atomic_ref") {
@@ -551,12 +593,32 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
                                    "justification"});
                 }
             }
-            for (const ConfinementRule* rule : conf) {
-                for (const std::string& banned : rule->banned) {
-                    if (t.text == banned) {
-                        raw.push_back({f.path, t.line, rule->check,
-                                       "`" + banned + "` referenced under " + rule->prefix +
-                                           " — " + rule->why});
+        }
+        for (const ConfinementRule& rule : cfg.confinement) {
+            if (!has_prefix(f.path, rule.prefix)) continue;
+            bool home = false;
+            for (const std::string& e : rule.exempt) home = home || has_prefix(f.path, e);
+            if (home) continue;
+            std::set<int> hit;  // one finding per line and rule
+            auto report = [&](int line, const std::string& banned, const char* how) {
+                if (!hit.insert(line).second) return;
+                raw.push_back({f.path, line, rule.check,
+                               "`" + banned + "` " + how + " under " + rule.prefix + " — " +
+                                   rule.why});
+            };
+            for (const std::string& banned : rule.banned) {
+                if (banned[0] == '<') {
+                    for (const auto& [line, header] : f.includes) {
+                        if (header == banned) report(line, banned, "included");
+                    }
+                    continue;
+                }
+                for (const std::vector<Token>* toks : {&f.tokens, &f.directive_tokens}) {
+                    for (std::size_t ti = 0; ti < toks->size(); ++ti) {
+                        if (banned_use(*toks, ti, banned, rule.use)) {
+                            report((*toks)[ti].line, banned,
+                                   rule.use == Use::kCall ? "called" : "referenced");
+                        }
                     }
                 }
             }
@@ -571,6 +633,7 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
         file_by_path[f.path] = &f;
         std::set<int>& lines = token_lines[f.path];
         for (const Token& t : f.tokens) lines.insert(t.line);
+        for (const Token& t : f.directive_tokens) lines.insert(t.line);
     }
     for (Finding& fd : raw) {
         auto fit = file_by_path.find(fd.file);

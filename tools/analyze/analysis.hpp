@@ -1,6 +1,9 @@
-// mw-analyze: program loading, lock-graph construction, and the four
-// whole-program checks (lock-order, blocking-under-lock, atomic discipline,
-// clock confinement).
+// mw-analyze: program loading, lock-graph construction, and every check:
+// lock order (rank + cycle), blocking-under-lock, atomic discipline
+// (raw-atomic, relaxed-order-justified) and the declarative identifier bans
+// of AnalyzerConfig::confinement (clock-confinement, lock-free-confinement,
+// naked-thread, raw-sync-primitive, raw-assert, raw-abort,
+// time-arith-confined).
 #pragma once
 
 #include <string>

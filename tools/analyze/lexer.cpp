@@ -43,18 +43,30 @@ LexedFile lex(const std::string& path, const std::string& text) {
             ++i;
             continue;
         }
-        // Preprocessor directive: swallow to end of line, honoring `\`
-        // continuations (each continuation still advances the line counter).
+        // Preprocessor directive: runs to end of line, honoring `\`
+        // continuations. Its body is lexed on its own into directive_tokens
+        // (trailing comments still reach `comments`).
         if (c == '#' && at_line_start) {
-            while (i < n) {
-                if (text[i] == '\\' && i + 1 < n && text[i + 1] == '\n') {
-                    ++line;
-                    i += 2;
-                    continue;
+            std::size_t j = i + 1;
+            while (j < n && text[j] != '\n') j += text[j] == '\\' && j + 1 < n ? 2 : 1;
+            const std::string body = text.substr(i + 1, j - i - 1);
+            LexedFile sub = lex(path, body);
+            if (!sub.tokens.empty() && sub.tokens[0].text == "include") {
+                const std::size_t open = body.find_first_not_of(" \t", body.find("include") + 7);
+                const std::size_t close = body.find('>', open);
+                if (open != std::string::npos && body[open] == '<' && close != std::string::npos) {
+                    out.includes.emplace_back(line, body.substr(open, close - open + 1));
                 }
-                if (text[i] == '\n') break;
-                ++i;
             }
+            for (Token& t : sub.tokens) {
+                t.line += line - 1;
+                out.directive_tokens.push_back(std::move(t));
+            }
+            for (const auto& [at, comment] : sub.comments) append_comment(at + line - 1, comment);
+            for (std::size_t k = i; k < j; ++k) {
+                if (text[k] == '\n') ++line;
+            }
+            i = j;
             continue;
         }
         at_line_start = false;

@@ -27,8 +27,16 @@ const char kUsage[] =
     "  clock-confinement        no Stopwatch/WallClock in clock-injected tiers\n"
     "  lock-free-confinement    no Mutex/CondVar/locks in the serving hot-path\n"
     "                           files (rings, epoch cell, request pool)\n"
+    "  naked-thread             std::thread only inside common/thread_pool.*\n"
+    "  raw-sync-primitive       std::mutex / condition_variable / lock guards only\n"
+    "                           inside common/sync.hpp\n"
+    "  raw-assert               no assert() or <cassert>: MW_CHECK / MW_ASSERT\n"
+    "  raw-abort                abort()/exit() only inside common/error.hpp\n"
+    "  time-arith-confined      std::chrono and raw clocks only inside\n"
+    "                           common/timer.hpp and common/sync.hpp\n"
     "\n"
-    "Suppress one finding with a same-line comment: // mw-analyze: allow(<check>)\n";
+    "Suppress one finding with a comment on its line or in the comment block\n"
+    "right above it: // mw-analyze: allow(<check>) <why>\n";
 
 }  // namespace
 

@@ -106,17 +106,31 @@ struct Finding {
     std::string message;  // human text, includes the acquisition chain
 };
 
-/// Per-path identifier bans (clock-confinement, lock-free-confinement) as
-/// one declarative table instead of N copy-pasted regex rules. `prefix` is
-/// matched against the root-relative path, so it names either a directory
-/// ("src/serve/") or a specific file family ("src/serve/sharded_queue.").
-/// Every rule matching a file applies — a file can be both clock-confined
-/// and lock-free-confined.
+/// Which references to a banned name count.
+enum class Use {
+    kAny,       // every reference
+    kCall,      // only `name(`; a bare name then skips `Other::name(` calls
+    kNotScope,  // not as the scope of a longer name (`std::thread::id` is fine)
+};
+
+/// Per-path identifier bans (clock-confinement, naked-thread, raw-assert,
+/// ...) as one declarative table instead of N copy-pasted regex rules.
+/// `prefix` is matched against the root-relative path, so it names all of
+/// "src/", a directory ("src/serve/") or a file family
+/// ("src/serve/sharded_queue."); files under an `exempt` prefix are the
+/// sanctioned homes of the banned names. Every rule matching a file applies
+/// — a file can be both clock-confined and lock-free-confined.
+///
+/// A `banned` entry is an identifier ("Stopwatch", any qualification), a
+/// std-qualified identifier ("std::mutex"), or an angle-bracket header
+/// ("<cassert>", banned as an `#include`). Macro bodies are checked too.
 struct ConfinementRule {
     std::string prefix;               // root-relative path prefix
-    std::vector<std::string> banned;  // identifier tokens
+    std::vector<std::string> banned;  // see above
     std::string check;                // finding name, e.g. "clock-confinement"
     std::string why;                  // appended to the diagnostic
+    std::vector<std::string> exempt = {};  // root-relative path prefixes
+    Use use = Use::kAny;
 };
 
 struct AnalyzerConfig {
@@ -125,8 +139,8 @@ struct AnalyzerConfig {
     // qualified "Class::method" (matched only when the call resolves there).
     std::vector<std::string> blocking;
     std::vector<ConfinementRule> confinement;
-    // Files exempt from the token-level checks and declaration scanning (the
-    // one sanctioned home of raw atomics; also where the rank table lives).
+    // Files exempt from the atomic checks and declaration scanning (the one
+    // sanctioned home of raw atomics; also where the rank table lives).
     std::vector<std::string> exempt_suffixes;
 };
 
