@@ -370,9 +370,16 @@ std::pair<LoadResult, LoadResult> run_hot_vs_legacy(World& world,
         static_cast<double>(hot_result.snapshot.totals().completed) /
         hot_result.elapsed_s;
     const auto& hot_lane = hot_result.snapshot.of(sched::Policy::kMaxThroughput);
-    std::printf("  legacy (mutexed queue, futures):   %9.0f QPS\n", legacy_qps);
-    std::printf("  hot (sharded rings, tickets):      %9.0f QPS  (%.2fx)\n", hot_qps,
-                legacy_qps > 0.0 ? hot_qps / legacy_qps : 0.0);
+    const auto mean_batch = [](const LoadResult& r) {
+        const auto totals = r.snapshot.totals();
+        return totals.batches_executed > 0 ? static_cast<double>(totals.coalesced_requests) /
+                                                 static_cast<double>(totals.batches_executed)
+                                           : 0.0;
+    };
+    std::printf("  legacy (mutexed queue, futures):   %9.0f QPS  mean batch %.2f\n", legacy_qps,
+                mean_batch(legacy_result));
+    std::printf("  hot (sharded rings, tickets):      %9.0f QPS  (%.2fx)  mean batch %.2f\n",
+                hot_qps, legacy_qps > 0.0 ? hot_qps / legacy_qps : 0.0, mean_batch(hot_result));
     std::printf("  hot queue wait: p95 %s, p99 %s (bounded by the closed loop)\n",
                 format_duration(hot_lane.queue_p95_s).c_str(),
                 format_duration(hot_lane.queue_p99_s).c_str());

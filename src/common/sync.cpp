@@ -20,7 +20,9 @@ const char* lock_rank_name(LockRank rank) noexcept {
         case LockRank::kFaultInject: return "fault-inject";
         case LockRank::kDevice: return "device";
         case LockRank::kFaultHealth: return "fault-health";
+        case LockRank::kClock: return "clock";
         case LockRank::kServeQueue: return "serve-queue";
+        case LockRank::kServePark: return "serve-park";
         case LockRank::kAdmission: return "admission";
         case LockRank::kStats: return "stats";
         case LockRank::kPool: return "pool";

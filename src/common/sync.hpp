@@ -93,6 +93,8 @@ namespace stdsync = ::std;
 ///                                           probes device clock state)
 ///   registry  -> device                    (DeviceRegistry::add wires peers,
 ///                                           load_model_everywhere loads)
+///   clock -> serve-queue / serve-park   (a ManualClock move seals or wakes
+///                                           the gathers it has made due)
 ///   serve-queue -> admission               (RequestQueue::remove_if invokes
 ///                                           the deadline predicate under the
 ///                                           queue lock)
@@ -130,7 +132,10 @@ enum class LockRank : int {
     kFaultInject = 35,     ///< fault::FaultInjector per-device fault streams
     kDevice = 40,          ///< device::Device internal state
     kFaultHealth = 45,     ///< fault::DeviceHealthTracker breaker/EWMA table
-    kServeQueue = 50,      ///< serve::RequestQueue lanes
+    kClock = 48,           ///< ManualClock listener list; held while a move
+                           ///< wakes the serving waiters it has made due
+    kServeQueue = 50,      ///< serve::RequestQueue lanes and open gathers
+    kServePark = 52,       ///< serve::WorkerPark parked hot-path workers
     kAdmission = 60,       ///< serve::AdmissionController EWMA table
     kStats = 70,           ///< serve::ServerStats counters/histograms
     kPool = 80,            ///< ThreadPool task queue
@@ -542,23 +547,29 @@ public:
     CondVar(const CondVar&) = delete;
     CondVar& operator=(const CondVar&) = delete;
 
-    void notify_one() noexcept { cv_.notify_one(); }
-    void notify_all() noexcept { cv_.notify_all(); }
+    void notify_one() MW_SYNC_NOEXCEPT {
+        mc_notify();
+        cv_.notify_one();
+    }
+    void notify_all() MW_SYNC_NOEXCEPT {
+        mc_notify();
+        cv_.notify_all();
+    }
 
     /// Block until pred() holds.
     ///
-    /// Under MW_MODEL_CHECK a managed thread waits by releasing the lock,
-    /// yielding to the checker's scheduler, re-acquiring, and re-checking —
-    /// a spin model that covers every notify interleaving (including
-    /// spurious wakeups) at the cost of masking lost-notify bugs; the
-    /// per-schedule step budget converts a never-true predicate into a
-    /// reported livelock. See DESIGN.md §12.
+    /// Under MW_MODEL_CHECK a managed thread that finds pred() false releases
+    /// the lock and stays blocked until some thread notifies this CondVar
+    /// (a notify wakes every waiter, a legal spurious wakeup), then
+    /// re-acquires and re-checks. So a notify that comes too early, or never,
+    /// leaves the waiter blocked, and the checker reports the lost wakeup as
+    /// a deadlock. See DESIGN.md §12.
     template <typename Predicate>
     void wait(MutexLock& lock, Predicate pred) {
 #if defined(MW_MODEL_CHECK)
         if (mc::managed()) {
             while (!pred()) {
-                mc_unlock_relock(lock);
+                mc_block_until_notified(lock);
             }
             return;
         }
@@ -588,13 +599,17 @@ public:
 
 private:
 #if defined(MW_MODEL_CHECK)
-    /// One wait step of the managed spin model: release, yield, re-acquire.
+    /// One timed-wait step of the managed model: release, yield, re-acquire.
     /// The RankGuard stays pushed across the gap — same approximation the
     /// real condition_variable wait path has always had.
     static void mc_unlock_relock(MutexLock& lock) {
         mc::mutex_unlock(lock.mc_addr_, /*shared=*/false);
         lock.ul_.unlock();
         mc::yield_point("condvar-wait");
+        mc_relock(lock);
+    }
+
+    static void mc_relock(MutexLock& lock) {
         mc::mutex_lock(
             lock.mc_addr_, /*shared=*/false,
             [](void* raw) {
@@ -603,6 +618,38 @@ private:
             },
             &lock.ul_, "condvar-relock");
     }
+
+    /// One untimed-wait step: release, block on this CondVar's address until
+    /// a notify bumps mc_notifies_ past what was seen under the lock, then
+    /// re-acquire. The checker runs one managed thread at a time, so the
+    /// plain counter needs no atomics.
+    void mc_block_until_notified(MutexLock& lock) {
+        struct Seen {
+            const CondVar* cv;
+            unsigned long long notifies;
+        } seen{this, mc_notifies_};
+        mc::mutex_unlock(lock.mc_addr_, /*shared=*/false);
+        lock.ul_.unlock();
+        mc::mutex_lock(
+            this, /*shared=*/false,
+            [](void* raw) {
+                const Seen* s = static_cast<const Seen*>(raw);
+                return s->cv->mc_notifies_ != s->notifies;
+            },
+            &seen, "condvar-wait");
+        mc_relock(lock);
+    }
+
+    /// Count the notify and release every managed waiter blocked on it.
+    void mc_notify() {
+        if (!mc::managed()) return;
+        ++mc_notifies_;
+        mc::mutex_unlock(this, /*shared=*/false);
+    }
+
+    unsigned long long mc_notifies_ = 0;
+#else
+    static void mc_notify() noexcept {}
 #endif
 
     stdsync::condition_variable cv_;

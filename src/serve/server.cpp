@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -43,10 +44,6 @@ Tensor slice_rows(const Tensor& outputs, std::size_t row_offset, std::size_t row
                 rows * elems_per_sample * sizeof(float));
     return out;
 }
-
-/// Real-time idle/steal-retry sleep slice on the hot path (mirrors the
-/// legacy batcher's kMaxWaitSliceS rationale: accumulate, don't wake-per-push).
-constexpr double kHotIdleSliceS = 0.0005;
 
 }  // namespace
 
@@ -107,10 +104,11 @@ Server::Server(sched::OnlineScheduler& scheduler, sched::Dispatcher& dispatcher,
       dispatcher_(&dispatcher),
       queue_(config.queue_capacity),
       admission_(config.admission, queue_, stats_),
-      batcher_(config.batching, queue_, clock),
       pool_(std::make_unique<ThreadPool>(config.workers)) {
     MW_CHECK(config_.workers > 0, "server needs at least one worker");
-    MW_CHECK(config_.worker_poll_s > 0.0, "worker_poll_s must be positive");
+    MW_CHECK(config_.batching.max_requests > 0, "max_requests must be positive");
+    MW_CHECK(config_.batching.max_samples > 0, "max_samples must be positive");
+    MW_CHECK(config_.batching.max_wait_s >= 0.0, "max_wait_s must be non-negative");
     if (config_.resilience.enabled) {
         health_ = std::make_unique<fault::DeviceHealthTracker>(
             config_.resilience.health, clock, &stats_.mutable_registry());
@@ -132,14 +130,21 @@ Server::Server(sched::OnlineScheduler& scheduler, sched::Dispatcher& dispatcher,
         request_pool_ = std::make_unique<RequestPool>(pool_capacity);
         hot_queue_ = std::make_unique<ShardedRequestQueue>(config_.workers,
                                                            config_.queue_capacity);
+        hot_park_ = std::make_unique<WorkerPark>(clock, config_.workers);
         const MutexLock lock(scheduler_mutex_);
         snapshot_cell_ = std::make_unique<EpochCell<sched::SchedulerSnapshot>>(
             scheduler_->build_snapshot(clock_->now()));
     }
+    clock_->add_listener(clock_listener());
     if (config_.start_on_construction) start();
 }
 
 Server::~Server() { stop(); }
+
+ClockListener& Server::clock_listener() {
+    if (hot_active_) return *hot_park_;
+    return queue_;
+}
 
 void Server::start() {
     MW_CHECK(!stopped_.load(std::memory_order_acquire),
@@ -157,17 +162,17 @@ void Server::start() {
 
 void Server::stop() {
     if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
-    const bool was_running = running_.exchange(false, std::memory_order_acq_rel);
-    if (was_running && config_.drain_on_stop) {
-        // Workers are still draining; wait for queue + in-flight to empty.
-        while (queue_depth() > 0 || inflight_.load(std::memory_order_acquire) > 0) {
-            sleep_for_seconds(0.0005);
-        }
+    (void)running_.exchange(false, std::memory_order_acq_rel);
+    // Closing seals every open gather and wakes every worker; with
+    // drain_on_stop the workers then empty the queue before they return.
+    if (hot_active_) {
+        hot_queue_->close();
+        hot_park_->close();
     }
-    if (hot_active_) hot_queue_->close();
     queue_.close();
     for (auto& worker : workers_) worker.get();
     workers_.clear();
+    clock_->remove_listener(clock_listener());
     // Anything still queued (stop without drain, or never started).
     if (hot_active_) {
         for (HotRequest* node : hot_queue_->drain()) {
@@ -274,6 +279,7 @@ std::future<Response> Server::submit(InferenceRequest request) {
             request_pool_->release(node);
             return future;
         }
+        hot_park_->notify_push();
         stats_.on_admitted(request.policy);
         MW_TRACE_INSTANT(obs::Phase::kAdmit, id, now, "admitted");
         return future;
@@ -316,15 +322,9 @@ ServerSnapshot Server::stats() const {
 }
 
 void Server::worker_loop() {
-    while (true) {
-        std::optional<PendingBatch> batch = batcher_.next(config_.worker_poll_s);
-        if (batch) {
-            inflight_.fetch_add(1, std::memory_order_acq_rel);
-            execute_batch(std::move(*batch));
-            inflight_.fetch_sub(1, std::memory_order_acq_rel);
-            continue;
-        }
-        if (queue_.closed()) return;  // closed and fully drained
+    while (std::optional<PendingBatch> batch = queue_.next_batch(
+               config_.batching, *clock_, config_.workers, config_.drain_on_stop)) {
+        execute_batch(std::move(*batch));
     }
 }
 
@@ -429,8 +429,9 @@ void Server::execute_batch(PendingBatch batch) {
 
 // ---------------------------------------------------------------------------
 // Lock-free hot path (DESIGN.md §15). Requests ride pooled HotRequest nodes
-// through the sharded work-stealing queue; workers gather batches with the
-// same rules as the legacy BatchAggregator, decide devices against the
+// through the sharded work-stealing queue; workers gather batches (sealing as
+// soon as other work is queued: lane-owned gathering is the legacy queue's
+// alone so far), decide devices against the
 // epoch-snapshotted scheduler state, and publish responses either through
 // the node (ticket API, zero-allocation) or the compat promise.
 // ---------------------------------------------------------------------------
@@ -486,6 +487,7 @@ Server::SubmitOutcome Server::submit_ticket(std::string_view model_name,
         outcome.status = RequestStatus::kRejectedFull;
         return outcome;
     }
+    hot_park_->notify_push();
     stats_.on_admitted(policy);
     MW_TRACE_INSTANT(obs::Phase::kAdmit, id, now, "admitted");
     outcome.admitted = true;
@@ -575,11 +577,11 @@ void Server::hot_gather(HotWorker& w, HotRequest* leader) {
         return;
     }
 
-    // Same gather rules as BatchAggregator::next(): wait up to max_wait_s on
-    // the injected clock for same-model/same-policy mates, sleep in short
-    // real-time slices, and dispatch immediately when non-matching work is
-    // pending (holding a worker hostage to the timer throttles the pipeline).
-    const double deadline = clock_->now() + bc.max_wait_s;
+    // Wait until max_wait_s past the leader's arrival on the injected clock
+    // for same-model/same-policy mates, parked until a push or the deadline,
+    // and dispatch immediately when non-matching work is pending (holding a
+    // worker hostage to the timer throttles the pipeline).
+    const double deadline = leader->arrival_s + bc.max_wait_s;
     const std::size_t lane = lane_of(leader->policy);
     for (;;) {
         bool gained = false;
@@ -622,12 +624,11 @@ void Server::hot_gather(HotWorker& w, HotRequest* leader) {
         }
         if (gained) continue;  // maybe more already queued
 
-        const double remaining = deadline - clock_->now();
-        if (remaining <= 0.0 || hot_queue_->closed()) break;
+        if (clock_->now() >= deadline || hot_queue_->closed()) break;
         // Dispatch-if-backlogged: anything stashed or queued elsewhere means
         // the server would not go idle by sealing this batch now.
         if (!w.stash.empty() || !hot_queue_->empty()) break;
-        sleep_for_seconds(std::min(remaining, kHotIdleSliceS));
+        hot_park_->park(deadline, [this] { return !hot_queue_->empty(); });
     }
     MW_TRACE_SPAN(obs::Phase::kBatch, leader->id, popped_at, clock_->now(),
                   leader->model_name.c_str());
@@ -843,24 +844,31 @@ void Server::hot_worker_loop(std::size_t worker_index) {
         w.scratch.resize(guard->scratch_size());
     }
 
+    constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
     for (;;) {
+        if (hot_queue_->closed() && !config_.drain_on_stop) break;
         HotRequest* leader = hot_next_leader(w);
         if (leader == nullptr) {
-            if (hot_queue_->closed() && w.stash.empty()) break;
-            sleep_for_seconds(kHotIdleSliceS);
+            if (hot_queue_->closed()) break;
+            hot_park_->park(kNoDeadline, [this] { return !hot_queue_->empty(); });
             continue;
         }
-        inflight_.fetch_add(1, std::memory_order_acq_rel);
         hot_gather(w, leader);
         hot_execute(w);
         w.batch.clear();
         w.batch_samples = 0;
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
         ++w.batches_since_refresh;
         if (w.batches_since_refresh >= config_.hot_path.snapshot_refresh_batches) {
             w.batches_since_refresh = 0;
             hot_refresh_snapshot();
         }
+    }
+    // Stashed nodes left the queue; without drain_on_stop they end here.
+    for (HotRequest* node : w.stash) {
+        stashed_total_.fetch_sub(1, std::memory_order_release);
+        w.lanes[lane_of(node->policy)].shutdown.inc();
+        MW_TRACE_INSTANT(obs::Phase::kComplete, node->id, clock_->now(), "shutdown");
+        hot_complete_terminal(node, RequestStatus::kShutdown);
     }
     w.flush_stats();  // totals are exact once every worker has exited
 }

@@ -1,6 +1,6 @@
 // Server: the concurrent serving front-end. Clients submit() payload-carrying
 // requests and receive futures; N worker threads (on an owned ThreadPool)
-// drain the bounded queue through the BatchAggregator, consult the paper's
+// take lane-owned batches from the bounded queue, consult the paper's
 // OnlineScheduler for a device, execute via Dispatcher::run_on, and complete
 // the futures. Admission control sheds load explicitly when the queue fills,
 // so offered load beyond saturation degrades into rejections instead of
@@ -9,7 +9,9 @@
 // Time is injected (mw::Clock): benches and demos pass a WallClock, tests a
 // ManualClock — serve code itself never reads a wall clock (enforced by
 // mw-analyze's `clock-confinement` check). The clock's "now" doubles as the
-// simulated timestamp handed to the scheduler and the device layer.
+// simulated timestamp handed to the scheduler and the device layer. No serve
+// thread sleeps: idle and gathering workers block until a push, close() or
+// (on a ManualClock, through its listener) a move past their deadline.
 //
 // Thread safety: submit(), stats(), queue_depth() may be called from any
 // thread while the server runs. The OnlineScheduler is not internally
@@ -34,11 +36,11 @@
 #include "graph/schedule.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/admission.hpp"
-#include "serve/batcher.hpp"
 #include "serve/request_pool.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/sharded_queue.hpp"
 #include "serve/stats.hpp"
+#include "serve/worker_park.hpp"
 
 namespace mw::serve {
 
@@ -90,8 +92,6 @@ struct ServerConfig {
     /// Finish everything queued before stop() returns; false completes
     /// still-queued requests with RequestStatus::kShutdown instead.
     bool drain_on_stop = true;
-    /// Idle worker re-check period, real time (queue-pop timeout slice).
-    double worker_poll_s = 0.01;
     /// Start workers in the constructor. Tests set this false to stage a
     /// queue deterministically before any worker runs, then call start().
     bool start_on_construction = true;
@@ -215,6 +215,9 @@ private:
 
     void worker_loop();
     void execute_batch(PendingBatch batch);
+    /// The clock listener of the active path: the queue's gathers, or the
+    /// parked hot-path workers.
+    [[nodiscard]] ClockListener& clock_listener();
 
     // --- lock-free hot path (server.cpp) ---
     struct HotWorker;  ///< per-worker state: stash, scratch, stats shards
@@ -243,13 +246,13 @@ private:
     ServerStats stats_;
     RequestQueue queue_;
     AdmissionController admission_;
-    BatchAggregator batcher_;
     std::unique_ptr<fault::DeviceHealthTracker> health_;  ///< resilience only
 
     // Lock-free hot path (null when inactive; see HotPathConfig).
     bool hot_active_ = false;
     std::unique_ptr<RequestPool> request_pool_;
     std::unique_ptr<ShardedRequestQueue> hot_queue_;
+    std::unique_ptr<WorkerPark> hot_park_;  ///< idle and gathering workers wait here
     std::unique_ptr<EpochCell<sched::SchedulerSnapshot>> snapshot_cell_;
     Atomic<std::size_t> submit_shard_{0};    ///< round-robin scatter cursor
     Atomic<bool> snapshot_claim_{false};     ///< one refresher at a time
@@ -257,7 +260,6 @@ private:
 
     Mutex scheduler_mutex_{LockRank::kScheduler};  ///< OnlineScheduler is not thread-safe
     Atomic<std::uint64_t> next_id_{1};
-    Atomic<std::size_t> inflight_{0};
     Atomic<bool> running_{false};
     Atomic<bool> stopped_{false};
 

@@ -392,7 +392,6 @@ serve::ServerConfig test_server_config() {
     serve::ServerConfig config;
     config.workers = 1;
     config.queue_capacity = 256;
-    config.worker_poll_s = 0.0005;
     return config;
 }
 

@@ -1,6 +1,7 @@
 // Model-check suite: runs the mw::mc schedule explorer against the repo's
 // lock-free protocols (the hot path's MPMC steal ring and epoch snapshot
-// cell, breaker half-open gate, server lifecycle flags, trace span ring) plus the mutation proofs the checker exists for — rings/cells with
+// cell, breaker half-open gate, server lifecycle flags, trace span ring, the
+// event-driven serving waits) plus the mutation proofs the checker exists for — rings/cells with
 // weakened memory orders and a probe gate with its CAS replaced by
 // check-then-act must ALL be caught, with schedules that replay
 // deterministically, while the unmutated protocols exhaust cleanly.
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +36,10 @@
 #include "fault/health.hpp"
 #include "mc/mc.hpp"
 #include "obs/trace.hpp"
+#include "serve/request_pool.hpp"
+#include "serve/request_queue.hpp"
+#include "serve/sharded_queue.hpp"
+#include "serve/worker_park.hpp"
 
 namespace {
 
@@ -419,6 +425,132 @@ TEST(McTraceRing, SnapshotNeverReadsUnpublishedSlots) {
 }
 
 // ---------------------------------------------------------------------------
+// Serving waits: no wakeup is lost
+// ---------------------------------------------------------------------------
+//
+// Untimed CondVar waits block in the model until a notify (sync.hpp), so a
+// wakeup that comes too early or never leaves a thread blocked for good and
+// the checker reports a deadlock. The bodies use the real RequestQueue,
+// WorkerPark, ShardedRequestQueue and ManualClock.
+
+mw::serve::Request mc_request(std::uint64_t id) {
+    mw::serve::Request r;
+    r.id = id;
+    r.model_name = "m";
+    r.samples = 1;
+    r.arrival_s = 0.0;  // gather deadline: 0 + max_wait_s = 1
+    return r;
+}
+
+const mw::serve::BatchConfig kMcBatching{.enabled = true, .max_requests = 4,
+                                         .max_samples = 64, .max_wait_s = 1.0};
+
+/// A worker's idle wait and gather wait against a push, a second push (a
+/// mate that joins the open gather or is taken at the claim) and a clock
+/// move past the deadline: the worker must get its batch with no close().
+void gather_wake_body(Sim& sim) {
+    auto clock = std::make_shared<mw::ManualClock>(0.0);
+    auto queue = std::make_shared<mw::serve::RequestQueue>(8);
+    auto batched = std::make_shared<mw::Atomic<std::size_t>>(0);
+    clock->add_listener(*queue);
+    sim.thread([clock, queue, batched] {
+        auto batch = queue->next_batch(kMcBatching, *clock, 1, true);
+        MC_ASSERT_MSG(batch.has_value(), "open queue returned no batch");
+        batched->store(batch->requests.size(), std::memory_order_relaxed);
+    });
+    sim.thread([queue] {
+        for (std::uint64_t id = 1; id <= 2; ++id) {
+            mw::serve::Request r = mc_request(id);
+            MC_ASSERT(queue->try_push(r));
+        }
+    });
+    sim.thread([clock] { clock->set(2.0); });
+    sim.join_all();
+    const std::size_t in_batch = batched->load(std::memory_order_relaxed);
+    MC_ASSERT_MSG(in_batch >= 1 && in_batch + queue->size() == 2,
+                  "a pushed request is neither batched nor queued");
+    clock->remove_listener(*queue);
+}
+
+/// close() against a worker that may be idle or gathering, and a push that
+/// may land before or after the close: the worker must return, and every
+/// accepted request must be batched (drain) exactly once.
+void gather_close_body(Sim& sim) {
+    auto clock = std::make_shared<mw::ManualClock>(0.0);
+    auto queue = std::make_shared<mw::serve::RequestQueue>(8);
+    auto batched = std::make_shared<mw::Atomic<std::size_t>>(0);
+    auto accepted = std::make_shared<mw::Atomic<std::size_t>>(0);
+    clock->add_listener(*queue);
+    sim.thread([clock, queue, batched] {
+        while (auto batch = queue->next_batch(kMcBatching, *clock, 1, true)) {
+            batched->fetch_add(batch->requests.size(), std::memory_order_relaxed);
+        }
+    });
+    sim.thread([queue, accepted] {
+        mw::serve::Request r = mc_request(1);
+        if (queue->try_push(r)) accepted->fetch_add(1, std::memory_order_relaxed);
+    });
+    sim.thread([queue] { queue->close(); });
+    sim.join_all();
+    MC_ASSERT_MSG(batched->load(std::memory_order_relaxed) ==
+                      accepted->load(std::memory_order_relaxed),
+                  "close() lost or duplicated a request");
+    clock->remove_listener(*queue);
+}
+
+/// A hot-path worker parks while its ring is empty (idle), then parks for a
+/// gather deadline; a lock-free push and a clock move must each end the
+/// matching park. A lost wakeup leaves the worker parked for good, which the
+/// checker reports as a deadlock. The idle loop is bounded: the queue counts
+/// a push before the ring publishes it, so in that window the worker sees
+/// work it cannot pop yet and (correctly) goes round again, which would
+/// trip the step budget on schedules where the pusher never runs.
+void park_wake_body(Sim& sim) {
+    auto clock = std::make_shared<mw::ManualClock>(0.0);
+    auto park = std::make_shared<mw::serve::WorkerPark>(*clock, 1);
+    auto pool = std::make_shared<mw::serve::RequestPool>(2);
+    auto ring = std::make_shared<mw::serve::ShardedRequestQueue>(1, 2);
+    clock->add_listener(*park);
+    sim.thread([clock, park, ring] {
+        const auto ready = [ring] { return !ring->empty(); };
+        for (int attempt = 0; attempt < 3 && ring->pop_lane(0, 0) == nullptr; ++attempt) {
+            park->park(std::numeric_limits<double>::infinity(), ready);
+        }
+        while (clock->now() < 1.0) park->park(1.0, [] { return false; });
+    });
+    sim.thread([park, pool, ring] {
+        mw::serve::HotRequest* node = pool->acquire();
+        MC_ASSERT(node != nullptr);
+        node->policy = mw::sched::Policy::kMaxThroughput;
+        MC_ASSERT(ring->try_push(0, node));
+        park->notify_push();
+    });
+    sim.thread([clock] { clock->set(2.0); });
+    sim.join_all();
+    (void)ring->pop_lane(0, 0);
+    MC_ASSERT_MSG(ring->empty(), "the pushed node is neither popped nor queued");
+    clock->remove_listener(*park);
+}
+
+TEST(McServeWaits, GatherWaitSeesEveryPushAndClockMove) {
+    const Result r = mw::mc::check(exhaustive(), gather_wake_body);
+    EXPECT_FALSE(r.failed) << r.message;
+    EXPECT_TRUE(r.exhausted) << "state space unexpectedly large: " << r.schedules;
+}
+
+TEST(McServeWaits, CloseEndsEveryWaitAndDrainsExactlyOnce) {
+    const Result r = mw::mc::check(exhaustive(), gather_close_body);
+    EXPECT_FALSE(r.failed) << r.message;
+    EXPECT_TRUE(r.exhausted) << "state space unexpectedly large: " << r.schedules;
+}
+
+TEST(McServeWaits, ParkedWorkerSeesLockFreePushAndClockMove) {
+    const Result r = mw::mc::check(exhaustive(), park_wake_body);
+    EXPECT_FALSE(r.failed) << r.message;
+    EXPECT_TRUE(r.exhausted) << "state space unexpectedly large: " << r.schedules;
+}
+
+// ---------------------------------------------------------------------------
 // Engine behaviour: random sampling, seed replay, livelock detection
 // ---------------------------------------------------------------------------
 
@@ -507,6 +639,9 @@ TEST(McNightly, RandomSweepOverAllProtocols) {
         {"server_flags_start", server_flags_body},
         {"server_flags_stop", server_stop_body},
         {"trace_ring", trace_ring_body},
+        {"gather_wake", gather_wake_body},
+        {"gather_close", gather_close_body},
+        {"park_wake", park_wake_body},
     };
     Options options;
     options.strategy = Strategy::kRandom;

@@ -4,6 +4,7 @@
 // doubles as TSan coverage under the `tsan` preset).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <map>
@@ -435,14 +436,115 @@ TEST(Server, ManualClockFlushesPartialBatch) {
     workload::SyntheticSource source(6);
     auto f1 = server.submit(world.request(source.next_batch(2, 4)));
     auto f2 = server.submit(world.request(source.next_batch(2, 4)));
-    // Wait until the aggregator holds both requests: its max-wait deadline is
-    // anchored at the leader pop, which must happen before the clock jumps
-    // (otherwise the deadline lands at t=51+50 and the flush never comes).
-    while (server.queue_depth() != 0) sleep_for_seconds(0.001);
     // Only 2 of 4 slots filled; advancing past max_wait flushes the batch.
+    // The deadline is the leader's arrival (t=0) plus max_wait, so it holds
+    // whether or not the worker has popped the leader before the clock jumps.
     world.clock.advance(51.0);
     EXPECT_EQ(f1.get().coalesced, 2U);
     EXPECT_EQ(f2.get().coalesced, 2U);
+}
+
+// Lane-owned gathering (legacy queue path). Every assertion below holds in
+// every interleaving of the workers with the submitting thread, so none of
+// these tests waits on host time.
+ServerConfig lane_owned_config(std::size_t workers, double max_wait_s) {
+    ServerConfig config;
+    config.workers = workers;
+    config.hot_path.enabled = false;
+    config.batching = {.enabled = true, .max_requests = 4, .max_samples = 1024,
+                       .max_wait_s = max_wait_s};
+    return config;
+}
+
+TEST(Server, SameLaneRequestJoinsTheOpenGather) {
+    ServeWorld world;
+    Server server(*world.scheduler, world.dispatcher, world.clock,
+                  lane_owned_config(2, 50.0));
+    ASSERT_FALSE(server.hot_path_active());
+    workload::SyntheticSource source(12);
+    // Whether the second request finds the first one's gather open or both
+    // still queued, it must join that gather: the idle worker may not lead
+    // it into a batch of its own.
+    auto f1 = server.submit(world.request(source.next_batch(1, 4)));
+    auto f2 = server.submit(world.request(source.next_batch(1, 4)));
+    world.clock.advance(51.0);
+    EXPECT_EQ(f1.get().coalesced, 2U);
+    EXPECT_EQ(f2.get().coalesced, 2U);
+    const auto totals = server.stats().totals();
+    EXPECT_EQ(totals.batches_executed, 1U);
+    EXPECT_EQ(totals.coalesced_requests, 2U);
+}
+
+TEST(Server, ThirdLaneSealsAGatherWhenEveryWorkerGathers) {
+    ServeWorld world;
+    Server server(*world.scheduler, world.dispatcher, world.clock,
+                  lane_owned_config(2, 50.0));
+    workload::SyntheticSource source(13);
+    // Deadlines 50, 51 and 52: the throughput gather is the oldest.
+    auto ft = server.submit(
+        world.request(source.next_batch(1, 4), sched::Policy::kMaxThroughput));
+    world.clock.set(1.0);
+    auto fl = server.submit(world.request(source.next_batch(1, 4), sched::Policy::kMinLatency));
+    world.clock.set(2.0);
+    auto fe = server.submit(world.request(source.next_batch(1, 4), sched::Policy::kMinEnergy));
+    // Two workers, three lanes: once both workers gather, the queued third
+    // lane has no worker to come for it, so the oldest gather seals early
+    // although the clock stands far before its deadline.
+    const Response early = ft.get();
+    EXPECT_EQ(early.status, RequestStatus::kCompleted);
+    EXPECT_EQ(early.coalesced, 1U);
+    EXPECT_EQ(world.clock.now(), 2.0);
+    // Its worker came back for the third lane; both gathers now wait for
+    // their deadlines.
+    EXPECT_NE(fl.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_NE(fe.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    world.clock.set(60.0);
+    EXPECT_EQ(fl.get().status, RequestStatus::kCompleted);
+    EXPECT_EQ(fe.get().status, RequestStatus::kCompleted);
+}
+
+TEST(Server, GatherStaysOpenUntilTheClockPassesItsDeadline) {
+    for (const bool hot : {false, true}) {
+        ServeWorld world;
+        ServerConfig config = lane_owned_config(1, 50.0);
+        config.hot_path.enabled = hot;
+        Server server(*world.scheduler, world.dispatcher, world.clock, config);
+        ASSERT_EQ(server.hot_path_active(), hot);
+        workload::SyntheticSource source(14);
+        auto f = server.submit(world.request(source.next_batch(1, 4)));
+        // A move that leaves the deadline (t=50) ahead wakes nobody.
+        world.clock.advance(10.0);
+        EXPECT_NE(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+        EXPECT_EQ(server.stats().totals().batches_executed, 0U);
+        world.clock.advance(41.0);
+        const Response r = f.get();
+        EXPECT_EQ(r.status, RequestStatus::kCompleted);
+        EXPECT_EQ(r.coalesced, 1U);
+    }
+}
+
+TEST(Server, StopReturnsWithoutTheClockMoving) {
+    for (const bool hot : {false, true}) {
+        ServeWorld world;
+        ServerConfig config = lane_owned_config(2, 50.0);
+        config.hot_path.enabled = hot;
+        {
+            // Idle: nothing to drain, every worker parked.
+            Server idle(*world.scheduler, world.dispatcher, world.clock, config);
+            idle.stop();
+            EXPECT_FALSE(idle.running());
+        }
+        // An open gather: close() seals it, so stop() drains it at once
+        // instead of waiting for a deadline the clock will never reach.
+        Server server(*world.scheduler, world.dispatcher, world.clock, config);
+        workload::SyntheticSource source(15);
+        auto f = server.submit(world.request(source.next_batch(1, 4)));
+        server.stop();
+        const Response r = f.get();
+        EXPECT_EQ(r.status, RequestStatus::kCompleted);
+        EXPECT_EQ(r.coalesced, 1U);
+        EXPECT_EQ(world.clock.now(), 0.0);
+    }
 }
 
 TEST(Server, FullQueueShedsInsteadOfBlocking) {

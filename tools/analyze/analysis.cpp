@@ -79,6 +79,11 @@ Indexes build_indexes(const Program& prog) {
 struct Resolved {
     std::set<Key> targets;  // function definitions this call may reach
     std::string recv_type;  // receiver type when it could be determined
+    /// A member call on a receiver of unknown type, resolved only because
+    /// one function in the program has that name (`x.load()` meets the one
+    /// `load` we define). Good enough to over-approximate lock edges; too
+    /// loose to blame a caller for a callee's blocking call.
+    bool guessed = false;
 };
 
 Resolved resolve_call(const Program& prog, const Indexes& ix, const FunctionInfo& fn,
@@ -121,6 +126,7 @@ Resolved resolve_call(const Program& prog, const Indexes& ix, const FunctionInfo
         if (nm != ix.fn_by_name.end()) {
             if (nm->second.size() == 1) {
                 r.targets.insert(*nm->second.begin());
+                r.guessed = rtype.empty();
             } else {
                 ++*ambiguous;
             }
@@ -518,7 +524,40 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
         }
     }
 
-    // Check 2: blocking calls under a live guard.
+    // Suppressions: `mw-analyze: allow(<check>)` in a comment on the finding
+    // line, or in the standalone comment block immediately above it.
+    std::map<std::string, const LexedFile*> file_by_path;
+    std::map<std::string, std::set<int>> token_lines;
+    for (const LexedFile& f : prog.files) {
+        file_by_path[f.path] = &f;
+        std::set<int>& lines = token_lines[f.path];
+        for (const Token& t : f.tokens) lines.insert(t.line);
+        for (const Token& t : f.directive_tokens) lines.insert(t.line);
+    }
+    const auto allowed = [&](const std::string& file, int at, const std::string& check) {
+        auto fit = file_by_path.find(file);
+        if (fit == file_by_path.end()) return false;
+        const LexedFile& lf = *fit->second;
+        const std::set<int>& lines = token_lines[file];
+        const std::string needle = "mw-analyze: allow(" + check + ")";
+        auto comment_allows = [&lf, &needle](int line) {
+            auto cit = lf.comments.find(line);
+            return cit != lf.comments.end() && cit->second.find(needle) != std::string::npos;
+        };
+        if (comment_allows(at)) return true;
+        for (int line = at - 1; line > 0; --line) {
+            if (lines.count(line) != 0) return false;        // code line: stop
+            if (lf.comments.count(line) == 0) return false;  // blank line: stop
+            if (comment_allows(line)) return true;
+        }
+        return false;
+    };
+
+    // Check 2: blocking calls under a live guard, directly or through the
+    // call graph. A function blocks when it makes a blocking call that no
+    // allow() justifies, or calls (through a resolved edge) a function that
+    // blocks; the fixpoint keeps the first witness chain. CondVar waits are
+    // not on the list: waiting on the guard that is held releases it.
     std::set<std::string> blocking_bare;
     std::set<std::string> blocking_qualified;
     for (const std::string& b : cfg.blocking) {
@@ -528,23 +567,68 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
             blocking_qualified.insert(b);
         }
     }
+    const auto blocks_directly = [&](std::size_t i, std::size_t ci) {
+        const CallSite& c = prog.functions[i].calls[ci];
+        if (blocking_bare.count(c.name) != 0) return true;
+        const Resolved& r = resolved[i][ci];
+        for (const Key& t : r.targets) {
+            if (blocking_qualified.count(qualified(t)) != 0) return true;
+        }
+        return !r.recv_type.empty() &&
+               blocking_qualified.count(r.recv_type + "::" + c.name) != 0;
+    };
+    std::map<Key, std::string> blocks;  // function -> chain down to the blocking call
+    for (std::size_t i : order) {
+        const FunctionInfo& fn = prog.functions[i];
+        const Key k{fn.cls, fn.name};
+        for (std::size_t ci = 0; ci < fn.calls.size(); ++ci) {
+            const CallSite& c = fn.calls[ci];
+            if (blocks.count(k) != 0 || !blocks_directly(i, ci) ||
+                allowed(fn.file, c.line, "blocking-under-lock")) {
+                continue;
+            }
+            blocks[k] = " -> " + c.name + " (" + fn.file + ":" + std::to_string(c.line) + ")";
+        }
+    }
+    for (bool grew = true; grew;) {
+        grew = false;
+        for (std::size_t i : order) {
+            const FunctionInfo& fn = prog.functions[i];
+            const Key k{fn.cls, fn.name};
+            for (std::size_t ci = 0; ci < fn.calls.size() && blocks.count(k) == 0; ++ci) {
+                const CallSite& c = fn.calls[ci];
+                if (resolved[i][ci].guessed) continue;
+                for (const Key& target : resolved[i][ci].targets) {
+                    auto bit = blocks.find(target);
+                    if (bit == blocks.end() || target == k ||
+                        allowed(fn.file, c.line, "blocking-under-lock")) {
+                        continue;
+                    }
+                    blocks[k] = " -> " + qualified(target) + " (" + fn.file + ":" +
+                                std::to_string(c.line) + ")" + bit->second;
+                    grew = true;
+                    break;
+                }
+            }
+        }
+    }
     for (std::size_t i : order) {
         const FunctionInfo& fn = prog.functions[i];
         for (std::size_t ci = 0; ci < fn.calls.size(); ++ci) {
             const CallSite& c = fn.calls[ci];
             if (c.live_guards.empty()) continue;
-            bool blocks = blocking_bare.count(c.name) != 0;
-            if (!blocks) {
-                const Resolved& r = resolved[i][ci];
-                for (const Key& t : r.targets) {
-                    if (blocking_qualified.count(qualified(t)) != 0) blocks = true;
+            std::string chain;
+            if (!blocks_directly(i, ci)) {
+                if (resolved[i][ci].guessed) continue;
+                for (const Key& target : resolved[i][ci].targets) {
+                    auto bit = blocks.find(target);
+                    if (bit != blocks.end()) {
+                        chain = "; chain: " + qualified(target) + bit->second;
+                        break;
+                    }
                 }
-                if (!r.recv_type.empty() &&
-                    blocking_qualified.count(r.recv_type + "::" + c.name) != 0) {
-                    blocks = true;
-                }
+                if (chain.empty()) continue;
             }
-            if (!blocks) continue;
             std::string held;
             for (std::size_t hg : c.live_guards) {
                 if (fn.guards[hg].rank.empty()) continue;
@@ -554,7 +638,7 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
             if (held.empty()) held = "<unresolved mutex>";
             std::ostringstream msg;
             msg << "blocking call `" << c.name << "` in " << fn.qualified()
-                << " while holding " << held
+                << " while holding " << held << chain
                 << "; move it outside the critical section or justify with a suppression";
             raw.push_back({fn.file, c.line, "blocking-under-lock", msg.str()});
         }
@@ -625,36 +709,8 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
         }
     }
 
-    // Suppressions: `mw-analyze: allow(<check>)` in a comment on the finding
-    // line, or in the standalone comment block immediately above it.
-    std::map<std::string, const LexedFile*> file_by_path;
-    std::map<std::string, std::set<int>> token_lines;
-    for (const LexedFile& f : prog.files) {
-        file_by_path[f.path] = &f;
-        std::set<int>& lines = token_lines[f.path];
-        for (const Token& t : f.tokens) lines.insert(t.line);
-        for (const Token& t : f.directive_tokens) lines.insert(t.line);
-    }
     for (Finding& fd : raw) {
-        auto fit = file_by_path.find(fd.file);
-        bool allowed = false;
-        if (fit != file_by_path.end()) {
-            const LexedFile& lf = *fit->second;
-            const std::set<int>& lines = token_lines[fd.file];
-            const std::string needle = "mw-analyze: allow(" + fd.check + ")";
-            auto comment_allows = [&lf, &needle](int line) {
-                auto cit = lf.comments.find(line);
-                return cit != lf.comments.end() &&
-                       cit->second.find(needle) != std::string::npos;
-            };
-            allowed = comment_allows(fd.line);
-            for (int line = fd.line - 1; !allowed && line > 0; --line) {
-                if (lines.count(line) != 0) break;           // code line: stop
-                if (lf.comments.count(line) == 0) break;     // blank line: stop
-                allowed = comment_allows(line);
-            }
-        }
-        if (allowed) {
+        if (allowed(fd.file, fd.line, fd.check)) {
             ++res.suppressed;
         } else {
             res.findings.push_back(std::move(fd));
