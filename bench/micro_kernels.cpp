@@ -2,6 +2,9 @@
 // device executes (GEMM, convolution, pooling, full-model forward passes).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/thread_pool.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -14,13 +17,21 @@ namespace {
 
 using namespace mw;
 
-/// gemm_bt at the zoo's shapes, as (m, k, n): mnist-small's 784x784 and
-/// mnist-deep's 2500x2000 dense layers at batch 8, and cifar-10's 32-filter
-/// 3x3x32 convolution over a 32x32 plane (taps 288, plane 1024).
+/// gemm_bt at one lane width (4, 8 or 16; a width the CPU lacks is skipped)
+/// and the zoo's shapes, as (m, k, n): mnist-small's 784x784 layer at the
+/// serving batches 2 and 19 and at 8, mnist-deep's 2500x2000 at batch 8,
+/// and cifar-10's convolutions over a 32x32 plane as im2col runs them: 32
+/// filters by 288 taps (32 channels) and by 27 taps (the 3-channel input).
 void BM_GemmBt(benchmark::State& state) {
-    const auto m = static_cast<std::size_t>(state.range(0));
-    const auto k = static_cast<std::size_t>(state.range(1));
-    const auto n = static_cast<std::size_t>(state.range(2));
+    const auto lanes = static_cast<std::size_t>(state.range(0));
+    const auto m = static_cast<std::size_t>(state.range(1));
+    const auto k = static_cast<std::size_t>(state.range(2));
+    const auto n = static_cast<std::size_t>(state.range(3));
+    const std::vector<std::size_t> widths = detail::gemm_bt_lane_widths();
+    if (std::find(widths.begin(), widths.end(), lanes) == widths.end()) {
+        state.SkipWithError("this CPU has no gemm_bt kernel at this lane width");
+        return;
+    }
     Rng rng(1);
     Tensor a(Shape{m, k});
     Tensor bt(Shape{n, k});
@@ -28,15 +39,23 @@ void BM_GemmBt(benchmark::State& state) {
     a.fill_normal(rng, 0.0F, 1.0F);
     bt.fill_normal(rng, 0.0F, 1.0F);
     for (auto _ : state) {
-        gemm_bt(a, bt, c);
+        detail::gemm_bt_lanes(lanes, a.data(), bt.data(), c.data(), m, k, n);
         benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * m);
     state.counters["GFLOP/s"] = benchmark::Counter(
         static_cast<double>(state.iterations()) * 2.0 * static_cast<double>(m * k * n) / 1e9,
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GemmBt)->Args({8, 784, 784})->Args({8, 2500, 2000})->Args({32, 288, 1024});
+BENCHMARK(BM_GemmBt)
+    ->ArgNames({"lanes", "m", "k", "n"})
+    ->ArgsProduct({{4, 8, 16}, {2}, {784}, {784}})
+    ->ArgsProduct({{4, 8, 16}, {19}, {784}, {784}})
+    ->ArgsProduct({{4, 8, 16}, {8}, {784}, {784}})
+    ->ArgsProduct({{4, 8, 16}, {8}, {2500}, {2000}})
+    ->ArgsProduct({{4, 8, 16}, {32}, {288}, {1024}})
+    ->ArgsProduct({{4, 8, 16}, {32}, {27}, {1024}});
 
 void BM_GemmBtParallel(benchmark::State& state) {
     const auto m = static_cast<std::size_t>(state.range(0));

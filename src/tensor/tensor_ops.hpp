@@ -2,22 +2,22 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mw {
 
-/// C = A(m x k) * B(k x n). Ranges of rows of C are distributed across
-/// `pool` when it is non-null and m is large enough to amortise.
-void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool = nullptr);
-
 /// C = A(m x k) * B^T where Bt is stored (n x k). This matches the dense
 /// layer layout (weights stored one row per output node) and keeps both
 /// operands streaming row-major — the access pattern §IV-B of the paper
-/// settles on for CPU SIMD friendliness. Register-blocked; each C(i, j) is
-/// summed in one fixed order, so it depends only on A row i and Bt row j:
-/// never on m, the row's position, the tiling or `pool`.
+/// settles on for CPU SIMD friendliness. Register-blocked over 4, 8 or 16
+/// vector lanes: the widest the host's CPU runs (chosen once per process),
+/// capped at k. Each C(i, j) is summed in one fixed order for a given
+/// (k, lane width), so within a process it depends only on A row i and Bt
+/// row j: never on m, the row's position, the tiling or `pool`. Hosts with
+/// different widths may differ in the last bits.
 void gemm_bt(const Tensor& a, const Tensor& bt, Tensor& c, ThreadPool* pool = nullptr);
 
 /// gemm_bt on raw row-major buffers: a (m x k), bt (n x k), c (m x n).
@@ -27,13 +27,16 @@ void gemm_bt(const float* a, const float* bt, float* c, std::size_t m, std::size
 /// y(m x n) += bias(n), broadcast over rows.
 void add_bias_rows(Tensor& y, const Tensor& bias);
 
-/// Elementwise: out = out * scale.
-void scale_inplace(Tensor& t, float scale);
+namespace detail {
 
-/// out += a (same shape).
-void add_inplace(Tensor& out, const Tensor& a);
+/// The lane widths gemm_bt can run on this host, narrowest first: {4},
+/// {4, 8} or {4, 8, 16}. For tests that check every width.
+std::vector<std::size_t> gemm_bt_lane_widths();
 
-/// Frobenius dot product of two same-shaped tensors.
-double dot(const Tensor& a, const Tensor& b);
+/// gemm_bt at exactly `lanes` lanes, whatever k is; `lanes` must be one of
+/// gemm_bt_lane_widths().
+void gemm_bt_lanes(std::size_t lanes, const float* a, const float* bt, float* c, std::size_t m,
+                   std::size_t k, std::size_t n, ThreadPool* pool = nullptr);
 
+}  // namespace detail
 }  // namespace mw

@@ -1,7 +1,11 @@
 // Unit tests for shapes, tensors and the linear-algebra kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -94,128 +98,207 @@ TEST(Tensor, RandomFillsAreDeterministic) {
     EXPECT_EQ(a.max_abs_diff(b), 0.0F);
 }
 
-TEST(Gemm, MatchesNaive) {
+// C(i, j) = sum_kk a(i, kk) bt(j, kk) in double precision, the reference
+// every gemm_bt check compares against.
+double reference_dot(const Tensor& a, const Tensor& bt, std::size_t i, std::size_t j,
+                     double* magnitude = nullptr) {
+    double ref = 0.0;
+    double mag = 0.0;
+    for (std::size_t kk = 0; kk < a.shape()[1]; ++kk) {
+        const double p = static_cast<double>(a.at(i, kk)) * bt.at(j, kk);
+        ref += p;
+        mag += std::abs(p);
+    }
+    if (magnitude != nullptr) *magnitude = mag;
+    return ref;
+}
+
+TEST(GemmBt, MatchesNaive) {
     Rng rng(1);
     const std::size_t m = 17;
     const std::size_t k = 23;
     const std::size_t n = 9;
     Tensor a(Shape{m, k});
-    Tensor b(Shape{k, n});
+    Tensor bt(Shape{n, k});
     a.fill_uniform(rng, -1.0F, 1.0F);
-    b.fill_uniform(rng, -1.0F, 1.0F);
+    bt.fill_uniform(rng, -1.0F, 1.0F);
     Tensor c(Shape{m, n});
-    gemm(a, b, c);
-
+    gemm_bt(a, bt, c);
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
-            float acc = 0.0F;
-            for (std::size_t kk = 0; kk < k; ++kk) acc += a.at(i, kk) * b.at(kk, j);
-            EXPECT_NEAR(c.at(i, j), acc, 1e-4F);
+            EXPECT_NEAR(c.at(i, j), reference_dot(a, bt, i, j), 1e-4);
         }
     }
 }
 
-TEST(Gemm, ParallelMatchesSerial) {
-    Rng rng(2);
-    Tensor a(Shape{64, 32});
-    Tensor b(Shape{32, 48});
-    a.fill_normal(rng, 0.0F, 1.0F);
-    b.fill_normal(rng, 0.0F, 1.0F);
-    Tensor serial(Shape{64, 48});
-    Tensor parallel(Shape{64, 48});
-    gemm(a, b, serial);
-    ThreadPool pool(3);
-    gemm(a, b, parallel, &pool);
-    EXPECT_EQ(serial.max_abs_diff(parallel), 0.0F);
-}
-
-TEST(GemmBt, EquivalentToGemmWithTranspose) {
+TEST(GemmBt, EquivalentToProductWithTranspose) {
+    // C = A * B with B given transposed: C(i, j) = sum_kk A(i, kk) B(kk, j).
     Rng rng(3);
     const std::size_t m = 12;
     const std::size_t k = 20;
     const std::size_t n = 15;
     Tensor a(Shape{m, k});
-    Tensor bt(Shape{n, k});
-    a.fill_normal(rng, 0.0F, 1.0F);
-    bt.fill_normal(rng, 0.0F, 1.0F);
-
     Tensor b(Shape{k, n});
+    a.fill_normal(rng, 0.0F, 1.0F);
+    b.fill_normal(rng, 0.0F, 1.0F);
+    Tensor bt(Shape{n, k});
     for (std::size_t i = 0; i < k; ++i) {
-        for (std::size_t j = 0; j < n; ++j) b.at(i, j) = bt.at(j, i);
+        for (std::size_t j = 0; j < n; ++j) bt.at(j, i) = b.at(i, j);
     }
-    Tensor c1(Shape{m, n});
-    Tensor c2(Shape{m, n});
-    gemm(a, b, c1);
-    gemm_bt(a, bt, c2);
-    EXPECT_LT(c1.max_abs_diff(c2), 1e-4F);
+    Tensor c(Shape{m, n});
+    gemm_bt(a, bt, c);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            double ref = 0.0;
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                ref += static_cast<double>(a.at(i, kk)) * b.at(kk, j);
+            }
+            EXPECT_NEAR(c.at(i, j), ref, 1e-4);
+        }
+    }
+}
+
+// Runs `check(lanes)` for 4, 8 and 16 lanes; a width the host's CPU lacks is
+// reported as skipped. The 4-lane copy runs everywhere.
+template <typename Check>
+void for_each_lane_width(const Check& check) {
+    const std::vector<std::size_t> supported = detail::gemm_bt_lane_widths();
+    std::vector<std::size_t> missing;
+    for (const std::size_t lanes : {4U, 8U, 16U}) {
+        if (std::find(supported.begin(), supported.end(), lanes) == supported.end()) {
+            missing.push_back(lanes);
+            continue;
+        }
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        check(lanes);
+    }
+    if (!missing.empty()) {
+        std::string widths;
+        for (const std::size_t lanes : missing) widths += " " + std::to_string(lanes);
+        GTEST_SKIP() << "this CPU has no gemm_bt kernel for lane widths" << widths;
+    }
 }
 
 TEST(GemmBt, MatchesDoubleReferenceOnTileEdges) {
-    // Every m, n below or across the register tile edges, k across the
-    // four-lane width and at the zoo's 784. Tolerance: the worst-case
-    // rounding bound gamma_d * sum|a_i b_i| of a float dot product summed to
-    // depth d = k/4 + 6 (a lane's k/4 products, the lane reduction and the
-    // k % 4 tail), with gamma_d = d u / (1 - d u) and u = 2^-24.
-    Rng rng(4);
-    for (const std::size_t m : {1U, 2U, 3U, 5U, 17U}) {
-        for (const std::size_t n : {1U, 2U, 3U, 5U, 17U}) {
-            for (const std::size_t k : {1U, 3U, 4U, 7U, 784U}) {
-                Tensor a(Shape{m, k});
-                Tensor bt(Shape{n, k});
-                a.fill_normal(rng, 0.0F, 1.0F);
-                bt.fill_normal(rng, 0.0F, 1.0F);
-                Tensor c(Shape{m, n});
-                gemm_bt(a, bt, c);
-                const double du = static_cast<double>(k / 4 + 6) * 0x1p-24;
-                const double gamma = du / (1.0 - du);
-                for (std::size_t i = 0; i < m; ++i) {
-                    for (std::size_t j = 0; j < n; ++j) {
-                        double ref = 0.0;
-                        double magnitude = 0.0;
-                        for (std::size_t kk = 0; kk < k; ++kk) {
-                            const double p = static_cast<double>(a.at(i, kk)) * bt.at(j, kk);
-                            ref += p;
-                            magnitude += std::abs(p);
+    // At each lane width L: every m, n below or across the 4-row and 4-column
+    // register tile edges, every k from 1 to 2L + 1 and the zoo's 27, 784 and
+    // 2500. Tolerance: the worst-case rounding bound gamma_d * sum|a_i b_i|
+    // of a float dot product summed to depth d = k/L + log2 L + k % L (a
+    // lane's k/L products, the tail step and the log2 L lane reduction), with
+    // gamma_d = d u / (1 - d u) and u = 2^-24.
+    for_each_lane_width([](std::size_t lanes) {
+        Rng rng(4);
+        std::vector<std::size_t> depths = {27, 784, 2500};
+        for (std::size_t k = 1; k <= 2 * lanes + 1; ++k) depths.push_back(k);
+        const auto log2_lanes = static_cast<std::size_t>(std::countr_zero(lanes));
+        for (const std::size_t k : depths) {
+            for (const std::size_t m : {1U, 2U, 3U, 4U, 5U, 7U, 9U}) {
+                for (const std::size_t n : {1U, 3U, 4U, 5U, 9U}) {
+                    Tensor a(Shape{m, k});
+                    Tensor bt(Shape{n, k});
+                    a.fill_normal(rng, 0.0F, 1.0F);
+                    bt.fill_normal(rng, 0.0F, 1.0F);
+                    Tensor c(Shape{m, n});
+                    detail::gemm_bt_lanes(lanes, a.data(), bt.data(), c.data(), m, k, n);
+                    const double du =
+                        static_cast<double>(k / lanes + log2_lanes + k % lanes) * 0x1p-24;
+                    const double gamma = du / (1.0 - du);
+                    for (std::size_t i = 0; i < m; ++i) {
+                        for (std::size_t j = 0; j < n; ++j) {
+                            double magnitude = 0.0;
+                            const double ref = reference_dot(a, bt, i, j, &magnitude);
+                            ASSERT_LE(std::abs(c.at(i, j) - ref), gamma * magnitude)
+                                << "m=" << m << " n=" << n << " k=" << k << " at " << i << ","
+                                << j;
                         }
-                        EXPECT_LE(std::abs(c.at(i, j) - ref), gamma * magnitude)
-                            << "m=" << m << " n=" << n << " k=" << k << " at " << i << "," << j;
                     }
                 }
             }
         }
-    }
+    });
 }
 
 TEST(GemmBt, RowIndependentOfBatchPositionAndPool) {
-    // Row i of C is bit-identical whether computed alone, inside a batch
-    // of any height, or with rows split across a pool.
-    Rng rng(5);
-    const std::size_t k = 37;
-    const std::size_t n = 19;
-    Tensor bt(Shape{n, k});
-    bt.fill_normal(rng, 0.0F, 1.0F);
-    ThreadPool pool(3);
-    for (const std::size_t m : {2U, 3U, 33U}) {
-        Tensor a(Shape{m, k});
-        a.fill_normal(rng, 0.0F, 1.0F);
-        Tensor c(Shape{m, n});
-        gemm_bt(a, bt, c);
-        Tensor pooled(Shape{m, n});
-        gemm_bt(a, bt, pooled, &pool);
-        EXPECT_EQ(c.max_abs_diff(pooled), 0.0F);
-        for (std::size_t i = 0; i < m; ++i) {
-            Tensor one(Shape{1, n});
-            gemm_bt(a.data() + i * k, bt.data(), one.data(), 1, k, n);
-            for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(one.at(0, j), c.at(i, j));
+    // At each lane width, row i of C is bit-identical whether computed
+    // alone, inside a batch of any height, or with rows split across a pool.
+    for_each_lane_width([](std::size_t lanes) {
+        Rng rng(5);
+        ThreadPool pool(3);
+        for (const std::size_t k : {7U, 37U}) {
+            const std::size_t n = 19;
+            Tensor bt(Shape{n, k});
+            bt.fill_normal(rng, 0.0F, 1.0F);
+            for (const std::size_t m : {2U, 3U, 5U, 33U}) {
+                Tensor a(Shape{m, k});
+                a.fill_normal(rng, 0.0F, 1.0F);
+                Tensor c(Shape{m, n});
+                detail::gemm_bt_lanes(lanes, a.data(), bt.data(), c.data(), m, k, n);
+                Tensor pooled(Shape{m, n});
+                detail::gemm_bt_lanes(lanes, a.data(), bt.data(), pooled.data(), m, k, n, &pool);
+                EXPECT_EQ(c.max_abs_diff(pooled), 0.0F);
+                for (std::size_t i = 0; i < m; ++i) {
+                    Tensor one(Shape{1, n});
+                    detail::gemm_bt_lanes(lanes, a.data() + i * k, bt.data(), one.data(), 1, k, n);
+                    for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(one.at(0, j), c.at(i, j));
+                }
+            }
         }
+    });
+}
+
+TEST(GemmBt, ColumnIndependentOfTile) {
+    // At each lane width, C(i, j) is bit-identical whether column j is
+    // reduced inside a four-column register tile or on its own.
+    for_each_lane_width([](std::size_t lanes) {
+        Rng rng(7);
+        for (const std::size_t k : {5U, 27U, 300U}) {
+            const std::size_t m = 5;
+            const std::size_t n = 9;
+            Tensor a(Shape{m, k});
+            Tensor bt(Shape{n, k});
+            a.fill_normal(rng, 0.0F, 1.0F);
+            bt.fill_normal(rng, 0.0F, 1.0F);
+            Tensor c(Shape{m, n});
+            detail::gemm_bt_lanes(lanes, a.data(), bt.data(), c.data(), m, k, n);
+            for (std::size_t j = 0; j < n; ++j) {
+                Tensor col(Shape{m, 1});
+                detail::gemm_bt_lanes(lanes, a.data(), bt.data() + j * k, col.data(), m, k, 1);
+                for (std::size_t i = 0; i < m; ++i) {
+                    EXPECT_EQ(col.at(i, 0), c.at(i, j)) << "k=" << k << " at " << i << "," << j;
+                }
+            }
+        }
+    });
+}
+
+TEST(GemmBt, DispatchCapsLaneWidthAtK) {
+    // gemm_bt runs the widest supported width not above k (4 at the least),
+    // so its output is bit-identical to that width's.
+    const std::vector<std::size_t> supported = detail::gemm_bt_lane_widths();
+    Rng rng(6);
+    for (const std::size_t k : {1U, 4U, 6U, 8U, 15U, 16U, 27U, 784U}) {
+        std::size_t lanes = 4;
+        for (const std::size_t w : supported) {
+            if (w <= k) lanes = w;
+        }
+        Tensor a(Shape{5, k});
+        Tensor bt(Shape{6, k});
+        a.fill_normal(rng, 0.0F, 1.0F);
+        bt.fill_normal(rng, 0.0F, 1.0F);
+        Tensor c(Shape{5, 6});
+        Tensor at_width(Shape{5, 6});
+        gemm_bt(a, bt, c);
+        detail::gemm_bt_lanes(lanes, a.data(), bt.data(), at_width.data(), 5, k, 6);
+        EXPECT_EQ(c.max_abs_diff(at_width), 0.0F) << "k=" << k << " lanes=" << lanes;
     }
 }
 
-TEST(Gemm, ShapeMismatchThrows) {
+TEST(GemmBt, ShapeMismatchThrows) {
     Tensor a(Shape{2, 3});
-    Tensor b(Shape{4, 5});
+    Tensor bt(Shape{5, 4});
     Tensor c(Shape{2, 5});
-    EXPECT_THROW(gemm(a, b, c), InvalidArgument);
+    EXPECT_THROW(gemm_bt(a, bt, c), InvalidArgument);
+    EXPECT_THROW(detail::gemm_bt_lanes(5, a.data(), a.data(), c.data(), 1, 1, 1), InvalidArgument);
 }
 
 TEST(Ops, AddBiasRows) {
@@ -227,18 +310,6 @@ TEST(Ops, AddBiasRows) {
     add_bias_rows(y, bias);
     EXPECT_EQ(y.at(0, 0), 1.0F);
     EXPECT_EQ(y.at(1, 2), 3.0F);
-}
-
-TEST(Ops, ScaleAddDot) {
-    Tensor a(Shape{4});
-    a.fill(2.0F);
-    scale_inplace(a, 0.5F);
-    EXPECT_EQ(a.at(0), 1.0F);
-    Tensor b(Shape{4});
-    b.fill(3.0F);
-    add_inplace(a, b);
-    EXPECT_EQ(a.at(3), 4.0F);
-    EXPECT_NEAR(dot(a, b), 48.0, 1e-9);
 }
 
 }  // namespace

@@ -84,10 +84,13 @@ struct Resolved {
     /// `load` we define). Good enough to over-approximate lock edges; too
     /// loose to blame a caller for a callee's blocking call.
     bool guessed = false;
+    /// Every function the call's name could reach when more than one does
+    /// and nothing picks one; such a call adds no edge.
+    std::set<Key> candidates;
 };
 
 Resolved resolve_call(const Program& prog, const Indexes& ix, const FunctionInfo& fn,
-                      const CallSite& call, std::size_t* ambiguous) {
+                      const CallSite& call) {
     Resolved r;
     if (!call.qualifier.empty()) {
         auto it = ix.fn_by_key.find({call.qualifier, call.name});
@@ -128,7 +131,7 @@ Resolved resolve_call(const Program& prog, const Indexes& ix, const FunctionInfo
                 r.targets.insert(*nm->second.begin());
                 r.guessed = rtype.empty();
             } else {
-                ++*ambiguous;
+                r.candidates = nm->second;
             }
         }
         return r;
@@ -145,7 +148,7 @@ Resolved resolve_call(const Program& prog, const Indexes& ix, const FunctionInfo
         if (nm->second.size() == 1) {
             r.targets.insert(*nm->second.begin());
         } else {
-            ++*ambiguous;
+            r.candidates = nm->second;
         }
     }
     return r;
@@ -350,7 +353,8 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
         const FunctionInfo& fn = prog.functions[i];
         resolved[i].reserve(fn.calls.size());
         for (const CallSite& c : fn.calls) {
-            resolved[i].push_back(resolve_call(prog, ix, fn, c, &prog.ambiguous_calls));
+            resolved[i].push_back(resolve_call(prog, ix, fn, c));
+            if (!resolved[i].back().candidates.empty()) ++prog.ambiguous_calls;
         }
     }
 
@@ -612,6 +616,15 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
             }
         }
     }
+    const auto held_ranks = [](const FunctionInfo& fn, const CallSite& c) {
+        std::string held;
+        for (std::size_t hg : c.live_guards) {
+            if (fn.guards[hg].rank.empty()) continue;
+            if (!held.empty()) held += ", ";
+            held += fn.guards[hg].rank;
+        }
+        return held.empty() ? std::string("<unresolved mutex>") : held;
+    };
     for (std::size_t i : order) {
         const FunctionInfo& fn = prog.functions[i];
         for (std::size_t ci = 0; ci < fn.calls.size(); ++ci) {
@@ -629,18 +642,35 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
                 }
                 if (chain.empty()) continue;
             }
-            std::string held;
-            for (std::size_t hg : c.live_guards) {
-                if (fn.guards[hg].rank.empty()) continue;
-                if (!held.empty()) held += ", ";
-                held += fn.guards[hg].rank;
-            }
-            if (held.empty()) held = "<unresolved mutex>";
             std::ostringstream msg;
             msg << "blocking call `" << c.name << "` in " << fn.qualified()
-                << " while holding " << held << chain
+                << " while holding " << held_ranks(fn, c) << chain
                 << "; move it outside the critical section or justify with a suppression";
             raw.push_back({fn.file, c.line, "blocking-under-lock", msg.str()});
+        }
+    }
+
+    // Check 5: a call under a live guard whose name several functions share
+    // and nothing narrows down adds no edge, so a lock taken (or a blocking
+    // call made) behind it is invisible to checks 1 and 2. Each one is listed
+    // with its candidates (AnalysisResult::ambiguous) but does not fail the
+    // run while src/ still has dozens; qualify the call, type its receiver,
+    // or justify it.
+    std::vector<Finding> ambiguous;
+    for (std::size_t i : order) {
+        const FunctionInfo& fn = prog.functions[i];
+        for (std::size_t ci = 0; ci < fn.calls.size(); ++ci) {
+            const CallSite& c = fn.calls[ci];
+            const std::set<Key>& candidates = resolved[i][ci].candidates;
+            if (c.live_guards.empty() || candidates.empty()) continue;
+            std::ostringstream msg;
+            msg << "call `" << c.name << "` in " << fn.qualified() << " while holding "
+                << held_ranks(fn, c) << " resolves to none of its " << candidates.size()
+                << " candidates:";
+            for (const Key& k : candidates) msg << " " << qualified(k);
+            msg << "; lock edges behind it are not seen — qualify the call, give its receiver "
+                   "a known type, or justify with a suppression";
+            ambiguous.push_back({fn.file, c.line, "ambiguous-call-under-lock", msg.str()});
         }
     }
 
@@ -709,17 +739,24 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
         }
     }
 
-    for (Finding& fd : raw) {
-        if (allowed(fd.file, fd.line, fd.check)) {
-            ++res.suppressed;
-        } else {
-            res.findings.push_back(std::move(fd));
+    const auto keep_unsuppressed = [&](std::vector<Finding>& from, std::vector<Finding>& to) {
+        for (Finding& fd : from) {
+            if (allowed(fd.file, fd.line, fd.check)) {
+                ++res.suppressed;
+            } else {
+                to.push_back(std::move(fd));
+            }
         }
-    }
-    std::sort(res.findings.begin(), res.findings.end(), [](const Finding& a, const Finding& b) {
-        return std::tie(a.file, a.line, a.check, a.message) <
-               std::tie(b.file, b.line, b.check, b.message);
-    });
+        const auto key = [](const Finding& f) {
+            return std::tie(f.file, f.line, f.check, f.message);
+        };
+        const auto before = [&key](const Finding& a, const Finding& b) { return key(a) < key(b); };
+        const auto same = [&key](const Finding& a, const Finding& b) { return key(a) == key(b); };
+        std::sort(to.begin(), to.end(), before);
+        to.erase(std::unique(to.begin(), to.end(), same), to.end());
+    };
+    keep_unsuppressed(raw, res.findings);
+    keep_unsuppressed(ambiguous, res.ambiguous);
     return res;
 }
 
@@ -755,6 +792,14 @@ std::string to_json(const Program& prog, const AnalysisResult& res) {
            << "\"}";
     }
     os << (res.findings.empty() ? "]" : "\n  ]") << ",\n";
+    os << "  \"ambiguous_under_guard\": [";
+    for (std::size_t i = 0; i < res.ambiguous.size(); ++i) {
+        const Finding& f = res.ambiguous[i];
+        os << (i == 0 ? "\n" : ",\n");
+        os << "    {\"file\": \"" << esc(f.file) << "\", \"line\": " << f.line
+           << ", \"message\": \"" << esc(f.message) << "\"}";
+    }
+    os << (res.ambiguous.empty() ? "]" : "\n  ]") << ",\n";
     os << "  \"summary\": {\n";
     os << "    \"files\": " << prog.files.size() << ",\n";
     os << "    \"functions\": " << prog.functions.size() << ",\n";
@@ -763,6 +808,7 @@ std::string to_json(const Program& prog, const AnalysisResult& res) {
     os << "    \"edges\": " << res.edges << ",\n";
     os << "    \"unresolved_guards\": " << prog.unresolved_guards << ",\n";
     os << "    \"ambiguous_calls\": " << prog.ambiguous_calls << ",\n";
+    os << "    \"ambiguous_under_guard\": " << res.ambiguous.size() << ",\n";
     os << "    \"suppressed\": " << res.suppressed << ",\n";
     os << "    \"findings\": " << res.findings.size() << "\n";
     os << "  }\n}\n";

@@ -3,7 +3,7 @@
 // (raw-atomic, relaxed-order-justified) and the declarative identifier bans
 // of AnalyzerConfig::confinement (clock-confinement, lock-free-confinement,
 // naked-thread, raw-sync-primitive, raw-assert, raw-abort,
-// time-arith-confined).
+// time-arith-confined), plus the list of ambiguous calls under a guard.
 #pragma once
 
 #include <string>
@@ -21,6 +21,10 @@ struct EdgeInfo {
 
 struct AnalysisResult {
     std::vector<Finding> findings;  // sorted by (file, line, check)
+    // Calls under a live guard that resolve to none of several same-named
+    // candidates (ambiguous-call-under-lock): listed, sorted like findings,
+    // but they do not fail the run.
+    std::vector<Finding> ambiguous;
     std::size_t suppressed = 0;     // findings silenced by mw-analyze: allow(...)
     std::size_t edges = 0;          // distinct held-while-acquiring rank edges
     std::vector<EdgeInfo> edge_list;  // one witness per distinct (from, to)

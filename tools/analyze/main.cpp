@@ -35,6 +35,11 @@ const char kUsage[] =
     "  time-arith-confined      std::chrono and raw clocks only inside\n"
     "                           common/timer.hpp and common/sync.hpp\n"
     "\n"
+    "Listed as notes, not failing:\n"
+    "  ambiguous-call-under-lock  a call under a guard whose name several functions\n"
+    "                           share and that resolves to none of them, so no\n"
+    "                           lock edge or blocking chain is seen behind it\n"
+    "\n"
     "Suppress one finding with a comment on its line or in the comment block\n"
     "right above it: // mw-analyze: allow(<check>) <why>\n";
 
@@ -106,13 +111,17 @@ int main(int argc, char** argv) {
             std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.check.c_str(),
                         f.message.c_str());
         }
+        for (const mwa::Finding& f : res.ambiguous) {
+            std::printf("%s:%d: note: [%s] %s\n", f.file.c_str(), f.line, f.check.c_str(),
+                        f.message.c_str());
+        }
         std::printf(
             "mw-analyze: %zu finding(s), %zu suppressed — %zu files, %zu functions, "
             "%zu mutexes, %zu ranks, %zu lock edges, %zu unresolved guards, "
-            "%zu ambiguous calls\n",
+            "%zu ambiguous calls (%zu under a guard)\n",
             res.findings.size(), res.suppressed, prog.files.size(), prog.functions.size(),
             prog.mutexes.size(), prog.ranks.entries.size(), res.edges, prog.unresolved_guards,
-            prog.ambiguous_calls);
+            prog.ambiguous_calls, res.ambiguous.size());
     }
     return res.findings.empty() ? 0 : 1;
 }
