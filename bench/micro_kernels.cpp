@@ -8,6 +8,7 @@
 #include "common/thread_pool.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/im2col.hpp"
 #include "nn/model_builder.hpp"
 #include "nn/pooling.hpp"
 #include "nn/zoo.hpp"
@@ -96,6 +97,26 @@ void BM_Conv2d(benchmark::State& state) {
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Conv2d)->Args({1, 3})->Args({8, 3})->Args({1, 32})->Args({8, 32});
+
+/// The patch matrix of one 32x32 sample at cifar-10's two convolution
+/// shapes (3 and 32 channels, k = 3), as BM_Conv2d builds it before its GEMM.
+void BM_Im2col(benchmark::State& state) {
+    const auto channels = static_cast<std::size_t>(state.range(0));
+    const std::size_t hw = 32;
+    const std::size_t k = 3;
+    Rng rng(2);
+    Tensor in(Shape{1, channels, hw, hw});
+    in.fill_uniform(rng, 0.0F, 1.0F);
+    Tensor patches(Shape{hw * hw, channels * k * k});
+    for (auto _ : state) {
+        nn::im2col_same(in.data(), channels, hw, hw, k, patches.data());
+        benchmark::DoNotOptimize(patches.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(patches.numel() * sizeof(float)));
+}
+BENCHMARK(BM_Im2col)->ArgName("channels")->Arg(3)->Arg(32);
 
 void BM_MaxPool(benchmark::State& state) {
     const auto batch = static_cast<std::size_t>(state.range(0));

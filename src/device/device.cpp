@@ -234,11 +234,17 @@ InferenceResult Device::run(const std::string& model_name, const Tensor& input, 
         // Real kernels: the outputs are the model's true predictions,
         // identical across devices (the paper's OpenCL kernels are portable).
         // Runs outside the device mutex — the forward pass touches no device
-        // state, so concurrent submissions overlap on the host pool.
-        Tensor shaped(m->input_shape(batch));
-        MW_CHECK(shaped.numel() == input.numel(), "input payload size mismatch");
-        std::copy_n(input.data(), input.numel(), shaped.data());
-        result.outputs = m->forward(shaped, pool_);
+        // state, so concurrent submissions overlap on the host pool. Only a
+        // flat payload is copied into the model's input shape.
+        const Shape shape = m->input_shape(batch);
+        MW_CHECK(shape.numel() == input.numel(), "input payload size mismatch");
+        if (input.shape() == shape) {
+            result.outputs = m->forward(input, pool_);
+        } else {
+            Tensor shaped(shape);
+            std::copy_n(input.data(), input.numel(), shaped.data());
+            result.outputs = m->forward(shaped, pool_);
+        }
     }
     return result;
 }

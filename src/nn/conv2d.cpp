@@ -34,8 +34,9 @@ Shape Conv2d::output_shape(const Shape& input) const {
 
 void Conv2d::forward(const Tensor& in, Tensor& out, ThreadPool* pool) const {
     MW_CHECK(out.shape() == output_shape(in.shape()), "Conv2d output tensor has wrong shape");
-    conv2d_im2col(in, weights_, bias_, out, pool);
-    apply_activation(act_, out);
+    const bool relu = act_ == Activation::kRelu;
+    conv2d_im2col(in, weights_, bias_, out, relu, pool);
+    if (!relu) apply_activation(act_, out);
 }
 
 void Conv2d::backward(const Tensor& in, const Tensor& out, const Tensor& dout, Tensor& din,

@@ -30,9 +30,9 @@ Shape Dense::output_shape(const Shape& input) const {
 
 void Dense::forward(const Tensor& in, Tensor& out, ThreadPool* pool) const {
     MW_CHECK(out.shape() == output_shape(in.shape()), "Dense output tensor has wrong shape");
-    gemm_bt(in, weights_, out, pool);
-    add_bias_rows(out, bias_);
-    apply_activation(act_, out);
+    const bool relu = act_ == Activation::kRelu;
+    gemm_bt(in, weights_, out, pool, {GemmEpilogue::Bias::kColumns, bias_.data(), relu});
+    if (!relu) apply_activation(act_, out);
 }
 
 void Dense::backward(const Tensor& in, const Tensor& out, const Tensor& dout, Tensor& din,

@@ -123,36 +123,67 @@ template <std::size_t L, std::size_t MR, std::size_t NR, bool kTail>
     }
 }
 
+// ReLU as std::max(x, 0.0F) computes it, x < 0 ? 0 : x, so -0.0 and NaN
+// pass through: on one output or on a four-output row of a tile.
+[[gnu::always_inline]] inline float relu(float x) { return x < 0.0F ? 0.0F : x; }
+
+[[gnu::always_inline]] inline VecF<4> relu(VecF<4> x) {
+    const VecI<4> negative = x < VecF<4>{};
+    return reinterpret_cast<VecF<4>>(reinterpret_cast<VecI<4>>(x) & ~negative);
+}
+
+// The epilogue of c(i, j) (V = float) or of c(i, j .. j + 3) (V = VecF<4>),
+// applied to the fully reduced sums.
+template <typename V>
+[[gnu::always_inline]] inline V finish(V sums, const GemmEpilogue& e, std::size_t i,
+                                       std::size_t j) {
+    if (e.bias == GemmEpilogue::Bias::kRows) {
+        sums += e.values[i];
+    } else if (e.bias == GemmEpilogue::Bias::kColumns) {
+        V b;
+        std::memcpy(&b, e.values + j, sizeof b);
+        sums += b;
+    }
+    return e.relu ? relu(sums) : sums;
+}
+
 // Every c(i, j) is summed in one fixed order for a given (k, L), whatever
 // tile computes it: lane l accumulates a[kk]·bt[kk] for kk ≡ l (mod L) below
 // kv, the tail adds its r products into lanes L - r .. L - 1, then the lanes
 // reduce (`reduce4`). So an output depends only on its own A row and Bt row,
-// never on the batch size, the row's position or the tiling.
+// never on the batch size, the row's position or the tiling. The tile's
+// first output is c(i, j) of the whole product.
 template <std::size_t L, std::size_t MR, std::size_t NR>
 [[gnu::always_inline]] inline void gemm_bt_tile(const float* a, const float* bt, float* c,
-                                                std::size_t k, std::size_t n, const Tail<L>& t) {
+                                                std::size_t k, std::size_t n, const Tail<L>& t,
+                                                const GemmEpilogue& e, std::size_t i,
+                                                std::size_t j) {
     VecF<L> acc[MR][NR] = {};
     for (std::size_t kk = 0; kk < t.kv; kk += L) tile_step<L, MR, NR, false>(acc, a, bt, k, kk, t);
     if (t.r != 0) tile_step<L, MR, NR, true>(acc, a, bt, k, 0, t);
     for (std::size_t r = 0; r < MR; ++r) {
         if constexpr (NR == 4) {
             const VecF<4> sums = reduce4<L>(acc[r][0], acc[r][1], acc[r][2], acc[r][3]);
-            std::memcpy(c + r * n, &sums, sizeof sums);
+            const VecF<4> out = finish(sums, e, i + r, j);
+            std::memcpy(c + r * n, &out, sizeof out);
         } else {
-            for (std::size_t j = 0; j < NR; ++j) {
-                c[r * n + j] = reduce4<L>(acc[r][j], acc[r][j], acc[r][j], acc[r][j])[0];
+            for (std::size_t jj = 0; jj < NR; ++jj) {
+                const float sum = reduce4<L>(acc[r][jj], acc[r][jj], acc[r][jj], acc[r][jj])[0];
+                c[r * n + jj] = finish(sum, e, i + r, j + jj);
             }
         }
     }
 }
 
-// Columns [j, j + kNR) of MR rows; a narrower last panel runs column by column.
+// Columns [j, j + kNR) of MR rows from row i; a narrower last panel runs
+// column by column.
 template <std::size_t L, std::size_t MR>
 [[gnu::always_inline]] inline void gemm_bt_panel(const float* a, const float* bt, float* c,
-                                                 std::size_t k, std::size_t n, std::size_t j,
-                                                 const Tail<L>& t) {
-    if (n - j >= kNR) return gemm_bt_tile<L, MR, kNR>(a, bt + j * k, c + j, k, n, t);
-    for (; j < n; ++j) gemm_bt_tile<L, MR, 1>(a, bt + j * k, c + j, k, n, t);
+                                                 std::size_t k, std::size_t n, std::size_t i,
+                                                 std::size_t j, const Tail<L>& t,
+                                                 const GemmEpilogue& e) {
+    if (n - j >= kNR) return gemm_bt_tile<L, MR, kNR>(a, bt + j * k, c + j, k, n, t, e, i, j);
+    for (; j < n; ++j) gemm_bt_tile<L, MR, 1>(a, bt + j * k, c + j, k, n, t, e, i, j);
 }
 
 // Each kNR-row panel of Bt meets every A row of the range before the next
@@ -161,20 +192,21 @@ template <std::size_t L, std::size_t MR>
 template <std::size_t L, std::size_t MR>
 [[gnu::always_inline]] inline void gemm_bt_rows(const float* a, const float* bt, float* c,
                                                 std::size_t row_begin, std::size_t row_end,
-                                                std::size_t k, std::size_t n) {
+                                                std::size_t k, std::size_t n,
+                                                const GemmEpilogue& e) {
     const Tail<L> t(k);
     for (std::size_t j = 0; j < n; j += kNR) {
         std::size_t i = row_begin;
         for (; i + MR <= row_end; i += MR) {
-            gemm_bt_panel<L, MR>(a + i * k, bt, c + i * n, k, n, j, t);
+            gemm_bt_panel<L, MR>(a + i * k, bt, c + i * n, k, n, i, j, t, e);
         }
         if constexpr (MR > 2) {
             if (i + 2 <= row_end) {
-                gemm_bt_panel<L, 2>(a + i * k, bt, c + i * n, k, n, j, t);
+                gemm_bt_panel<L, 2>(a + i * k, bt, c + i * n, k, n, i, j, t, e);
                 i += 2;
             }
         }
-        if (i < row_end) gemm_bt_panel<L, 1>(a + i * k, bt, c + i * n, k, n, j, t);
+        if (i < row_end) gemm_bt_panel<L, 1>(a + i * k, bt, c + i * n, k, n, i, j, t, e);
     }
 }
 
@@ -182,11 +214,11 @@ template <std::size_t L, std::size_t MR>
 // copy needs no ISA flag; the x86 copies carry their own target and fuse
 // multiply-add (this file builds with -ffp-contract=fast).
 using RowsFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t, std::size_t,
-                        std::size_t);
+                        std::size_t, const GemmEpilogue&);
 
 void rows4(const float* a, const float* bt, float* c, std::size_t lo, std::size_t hi,
-           std::size_t k, std::size_t n) {
-    gemm_bt_rows<4, 2>(a, bt, c, lo, hi, k, n);
+           std::size_t k, std::size_t n, const GemmEpilogue& e) {
+    gemm_bt_rows<4, 2>(a, bt, c, lo, hi, k, n, e);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -194,15 +226,16 @@ void rows4(const float* a, const float* bt, float* c, std::size_t lo, std::size_
 // itself only from -O2, and baseline-ISA code that runs after a dirty upper
 // state is slowed down: a Debug build ran its later tests about 2x slower.
 [[gnu::target("avx2,fma")]] void rows8(const float* a, const float* bt, float* c, std::size_t lo,
-                                       std::size_t hi, std::size_t k, std::size_t n) {
-    gemm_bt_rows<8, 2>(a, bt, c, lo, hi, k, n);
+                                       std::size_t hi, std::size_t k, std::size_t n,
+                                       const GemmEpilogue& e) {
+    gemm_bt_rows<8, 2>(a, bt, c, lo, hi, k, n, e);
     _mm256_zeroupper();
 }
 
 [[gnu::target("avx512f,fma")]] void rows16(const float* a, const float* bt, float* c,
                                            std::size_t lo, std::size_t hi, std::size_t k,
-                                           std::size_t n) {
-    gemm_bt_rows<16, 4>(a, bt, c, lo, hi, k, n);
+                                           std::size_t n, const GemmEpilogue& e) {
+    gemm_bt_rows<16, 4>(a, bt, c, lo, hi, k, n, e);
     _mm256_zeroupper();
 }
 #endif
@@ -247,13 +280,17 @@ void for_row_ranges(std::size_t m, ThreadPool* pool, const Rows& rows) {
 }
 
 void run_gemm_bt(RowsFn rows, const float* a, const float* bt, float* c, std::size_t m,
-                 std::size_t k, std::size_t n, ThreadPool* pool) {
-    for_row_ranges(m, pool, [&](std::size_t lo, std::size_t hi) { rows(a, bt, c, lo, hi, k, n); });
+                 std::size_t k, std::size_t n, ThreadPool* pool, const GemmEpilogue& e) {
+    MW_CHECK(e.bias == GemmEpilogue::Bias::kNone || e.values != nullptr,
+             "gemm_bt: a bias epilogue needs its values");
+    for_row_ranges(m, pool,
+                   [&](std::size_t lo, std::size_t hi) { rows(a, bt, c, lo, hi, k, n, e); });
 }
 
 }  // namespace
 
-void gemm_bt(const Tensor& a, const Tensor& bt, Tensor& c, ThreadPool* pool) {
+void gemm_bt(const Tensor& a, const Tensor& bt, Tensor& c, ThreadPool* pool,
+             const GemmEpilogue& epilogue) {
     MW_CHECK(a.shape().rank() == 2 && bt.shape().rank() == 2 && c.shape().rank() == 2,
              "gemm_bt requires rank-2 tensors");
     const std::size_t m = a.shape()[0];
@@ -261,15 +298,15 @@ void gemm_bt(const Tensor& a, const Tensor& bt, Tensor& c, ThreadPool* pool) {
     const std::size_t n = bt.shape()[0];
     MW_CHECK(bt.shape()[1] == k, "gemm_bt inner dimension mismatch");
     MW_CHECK(c.shape()[0] == m && c.shape()[1] == n, "gemm_bt output shape mismatch");
-    gemm_bt(a.data(), bt.data(), c.data(), m, k, n, pool);
+    gemm_bt(a.data(), bt.data(), c.data(), m, k, n, pool, epilogue);
 }
 
 // The lane width is capped at k, so a short row never pays for lanes it
 // cannot fill.
 void gemm_bt(const float* a, const float* bt, float* c, std::size_t m, std::size_t k,
-             std::size_t n, ThreadPool* pool) {
+             std::size_t n, ThreadPool* pool, const GemmEpilogue& epilogue) {
     const std::size_t w = k >= 16 ? 2 : k >= 8 ? 1 : 0;
-    run_gemm_bt(host_kernels().by_width[w], a, bt, c, m, k, n, pool);
+    run_gemm_bt(host_kernels().by_width[w], a, bt, c, m, k, n, pool, epilogue);
 }
 
 namespace detail {
@@ -279,25 +316,14 @@ std::vector<std::size_t> gemm_bt_lane_widths() {
 }
 
 void gemm_bt_lanes(std::size_t lanes, const float* a, const float* bt, float* c, std::size_t m,
-                   std::size_t k, std::size_t n, ThreadPool* pool) {
+                   std::size_t k, std::size_t n, ThreadPool* pool,
+                   const GemmEpilogue& epilogue) {
     const HostKernels& h = host_kernels();
     const auto* w = std::find(kWidths, kWidths + h.supported, lanes);
     MW_CHECK(w != kWidths + h.supported, "gemm_bt: this host cannot run that lane width");
-    run_gemm_bt(h.by_width[w - kWidths], a, bt, c, m, k, n, pool);
+    run_gemm_bt(h.by_width[w - kWidths], a, bt, c, m, k, n, pool, epilogue);
 }
 
 }  // namespace detail
-
-void add_bias_rows(Tensor& y, const Tensor& bias) {
-    MW_CHECK(y.shape().rank() == 2, "add_bias_rows requires rank-2 activations");
-    const std::size_t m = y.shape()[0];
-    const std::size_t n = y.shape()[1];
-    MW_CHECK(bias.numel() == n, "bias width mismatch");
-    for (std::size_t i = 0; i < m; ++i) {
-        float* row = y.data() + i * n;
-        const float* b = bias.data();
-        for (std::size_t j = 0; j < n; ++j) row[j] += b[j];
-    }
-}
 
 }  // namespace mw

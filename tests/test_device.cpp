@@ -3,6 +3,7 @@
 // correctness across devices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "common/error.hpp"
@@ -126,6 +127,24 @@ TEST(Device, RunComputesRealOutputs) {
     // Outputs equal the model's own forward pass, bit for bit.
     EXPECT_EQ(result.outputs.max_abs_diff(model->forward(x)), 0.0F);
     EXPECT_GT(result.measurement.latency_s(), 0.0);
+}
+
+TEST(Device, RunTakesShapedOrFlatPayloads) {
+    // A CNN input in the model's own shape runs as given; the same samples
+    // as a flat (batch, elems) payload are copied into that shape first.
+    // Both give the same outputs; a payload of the wrong size throws.
+    Device dev(i7_8700_params());
+    auto model = shared_model(nn::zoo::mnist_cnn(), 5);
+    dev.load_model(model);
+    Rng rng(3);
+    Tensor x(model->input_shape(3));
+    x.fill_uniform(rng, 0.0F, 1.0F);
+    Tensor flat(Shape{3, x.numel() / 3});
+    std::copy_n(x.data(), x.numel(), flat.data());
+    const Tensor shaped_out = dev.run("mnist-cnn", x, 0.0).outputs;
+    EXPECT_EQ(shaped_out.max_abs_diff(model->forward(x)), 0.0F);
+    EXPECT_EQ(shaped_out.max_abs_diff(dev.run("mnist-cnn", flat, 0.0).outputs), 0.0F);
+    EXPECT_THROW(dev.run("mnist-cnn", Tensor(Shape{3, 5}), 0.0), InvalidArgument);
 }
 
 TEST(Device, OutputsIdenticalAcrossDevices) {

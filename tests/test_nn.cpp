@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include "common/error.hpp"
@@ -14,11 +15,13 @@
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
+#include "nn/im2col.hpp"
 #include "nn/model_builder.hpp"
 #include "nn/pooling.hpp"
 #include "nn/trainer.hpp"
 #include "nn/weights.hpp"
 #include "nn/zoo.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace {
 
@@ -449,6 +452,70 @@ TEST(Model, RowOutputIndependentOfBatchAndPosition) {
                 << spec.name << " row " << r;
             EXPECT_EQ(row.max_abs_diff(batch_row(out_reversed, kBatch - 1 - r)), 0.0F)
                 << spec.name << " row " << r;
+        }
+    }
+}
+
+/// `layer`'s output for `in` without the fused epilogue: Dense and Conv2d
+/// run plain gemm_bt (Conv2d on the generic patch builder), then a separate
+/// bias pass, then apply_activation. Other layers run their own forward.
+Tensor unfused_forward(Layer& layer, const Tensor& in) {
+    Tensor out(layer.output_shape(in.shape()));
+    if (auto* dense = dynamic_cast<Dense*>(&layer)) {
+        gemm_bt(in, dense->weights(), out);
+        const std::size_t n = out.shape()[1];
+        for (std::size_t i = 0; i < out.numel(); ++i) out.at(i) += dense->bias().at(i % n);
+        apply_activation(dense->activation(), out);
+    } else if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
+        const std::size_t in_ch = in.shape()[1];
+        const std::size_t h = in.shape()[2];
+        const std::size_t w = in.shape()[3];
+        const std::size_t k = conv->filter_size();
+        const std::size_t plane = h * w;
+        const std::size_t filters = conv->filters();
+        std::vector<float> patches(plane * in_ch * k * k);
+        for (std::size_t b = 0; b < in.shape()[0]; ++b) {
+            nn::detail::im2col_same_generic(in.data() + b * in_ch * plane, in_ch, h, w, k,
+                                        patches.data());
+            float* out_b = out.data() + b * filters * plane;
+            gemm_bt(conv->weights().data(), patches.data(), out_b, filters, in_ch * k * k, plane);
+            for (std::size_t i = 0; i < filters * plane; ++i) out_b[i] += conv->bias().at(i / plane);
+        }
+        apply_activation(conv->activation(), out);
+    } else {
+        layer.forward(in, out, nullptr);
+    }
+    return out;
+}
+
+TEST(Model, FusedForwardBitIdenticalToUnfused) {
+    // Every zoo model, every layer: the fused forward's output equals the
+    // unfused recomputation from the same layer input, bit for bit. Weight
+    // initialisation leaves biases at zero, which would hide where the bias
+    // lands, so each layer gets random ones.
+    for (const ModelSpec& spec : zoo::all_models()) {
+        Model m = build_model(spec, 3);
+        Rng rng(22);
+        for (std::size_t li = 0; li < m.layer_count(); ++li) {
+            if (auto* dense = dynamic_cast<Dense*>(&m.layer(li))) {
+                dense->bias().fill_uniform(rng, -0.5F, 0.5F);
+            } else if (auto* conv = dynamic_cast<Conv2d*>(&m.layer(li))) {
+                conv->bias().fill_uniform(rng, -0.5F, 0.5F);
+            }
+        }
+        for (const std::size_t batch : {1U, 3U, 16U}) {
+            Tensor x(m.input_shape(batch));
+            x.fill_uniform(rng, 0.0F, 1.0F);
+            const std::vector<Tensor> acts = m.forward_collect(x);
+            for (std::size_t li = 0; li < m.layer_count(); ++li) {
+                const Tensor unfused = unfused_forward(m.layer(li), li == 0 ? x : acts[li - 1]);
+                ASSERT_EQ(unfused.shape(), acts[li].shape());
+                EXPECT_EQ(std::memcmp(unfused.data(), acts[li].data(),
+                                      unfused.numel() * sizeof(float)),
+                          0)
+                    << spec.name << " batch " << batch << " layer " << li << " "
+                    << m.layer(li).describe();
+            }
         }
     }
 }

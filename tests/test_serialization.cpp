@@ -2,6 +2,7 @@
 // convolution path.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "common/thread_pool.hpp"
@@ -135,6 +136,28 @@ TEST(Im2col, PatchMatrixOfIdentityKernelPosition) {
     // Bottom-right tap of pixel (1,1) is input(2,2); of pixel (2,2), padding.
     EXPECT_EQ(patches.at(4, 8), 9.0F);
     EXPECT_EQ(patches.at(8, 8), 0.0F);
+}
+
+TEST(Im2col, FixedSizeBuildersMatchGeneric) {
+    // The compiled-in k = 3, 5 and 7 builders write the generic run-time-k
+    // loop's patch matrix bit for bit, at one, a few and many channels and
+    // at planes smaller than, near and larger than the filter.
+    Rng rng(14);
+    for (const std::size_t k : {3U, 5U, 7U}) {
+        for (const std::size_t in_ch : {1U, 3U, 32U}) {
+            for (const auto [h, w] : {std::pair<std::size_t, std::size_t>{1, 1}, {5, 7}, {32, 32}}) {
+                Tensor in(Shape{in_ch, h, w});
+                in.fill_normal(rng, 0.0F, 1.0F);
+                const std::size_t numel = h * w * in_ch * k * k;
+                std::vector<float> fixed(numel);
+                std::vector<float> generic(numel);
+                im2col_same(in.data(), in_ch, h, w, k, fixed.data());
+                nn::detail::im2col_same_generic(in.data(), in_ch, h, w, k, generic.data());
+                EXPECT_EQ(std::memcmp(fixed.data(), generic.data(), numel * sizeof(float)), 0)
+                    << "k=" << k << " channels=" << in_ch << " plane=" << h << "x" << w;
+            }
+        }
+    }
 }
 
 /// Reference convolution: the direct same-padded loop, summed in double.

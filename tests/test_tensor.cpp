@@ -4,11 +4,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/activation.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -293,23 +295,71 @@ TEST(GemmBt, DispatchCapsLaneWidthAtK) {
     }
 }
 
+TEST(GemmBt, EpilogueBitIdenticalToSeparatePasses) {
+    // At each lane width, gemm_bt with a fused bias and ReLU stores the bits
+    // of plain gemm_bt, then the bias add, then apply_activation: for a bias
+    // along rows, along columns or none, ReLU on and off, n % 4 of 0 to 3
+    // (the four-column tile and the column-by-column tail), k below L and
+    // not a multiple of L. A row's first output is made a signed-zero case:
+    // all its products are -0.0 and its bias is -0.0.
+    using Bias = GemmEpilogue::Bias;
+    for_each_lane_width([](std::size_t lanes) {
+        Rng rng(8);
+        for (const std::size_t k : {std::size_t{3}, lanes - 1, lanes, lanes + 3, 2 * lanes + 5}) {
+            for (const std::size_t m : {1U, 2U, 3U, 5U, 9U}) {
+                for (const std::size_t n : {4U, 5U, 6U, 7U, 8U}) {
+                    Tensor a(Shape{m, k});
+                    Tensor bt(Shape{n, k});
+                    a.fill_normal(rng, 0.0F, 1.0F);
+                    bt.fill_normal(rng, 0.0F, 1.0F);
+                    std::fill_n(a.data(), k, -0.0F);
+                    std::fill_n(bt.data(), k, 1.0F);
+                    for (const Bias bias : {Bias::kNone, Bias::kRows, Bias::kColumns}) {
+                        Tensor values(Shape{std::max(m, n)});
+                        values.fill_normal(rng, 0.0F, 1.0F);
+                        values.at(0) = -0.0F;
+                        for (const bool relu : {false, true}) {
+                            SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                                         " k=" + std::to_string(k) + " bias=" +
+                                         std::to_string(static_cast<int>(bias)) +
+                                         " relu=" + std::to_string(relu));
+                            Tensor separate(Shape{m, n});
+                            detail::gemm_bt_lanes(lanes, a.data(), bt.data(), separate.data(), m,
+                                                  k, n);
+                            for (std::size_t i = 0; i < m; ++i) {
+                                for (std::size_t j = 0; j < n; ++j) {
+                                    if (bias == Bias::kRows) separate.at(i, j) += values.at(i);
+                                    if (bias == Bias::kColumns) separate.at(i, j) += values.at(j);
+                                }
+                            }
+                            if (relu) nn::apply_activation(nn::Activation::kRelu, separate);
+                            Tensor fused(Shape{m, n});
+                            detail::gemm_bt_lanes(lanes, a.data(), bt.data(), fused.data(), m, k,
+                                                  n, nullptr, {bias, values.data(), relu});
+                            ASSERT_EQ(std::memcmp(fused.data(), separate.data(),
+                                                  fused.numel() * sizeof(float)),
+                                      0);
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
+TEST(GemmBt, EpilogueWithoutBiasValuesThrows) {
+    Tensor a(Shape{2, 3});
+    Tensor c(Shape{2, 2});
+    EXPECT_THROW(gemm_bt(a, a, c, nullptr, {GemmEpilogue::Bias::kRows, nullptr, false}),
+                 InvalidArgument);
+}
+
 TEST(GemmBt, ShapeMismatchThrows) {
     Tensor a(Shape{2, 3});
     Tensor bt(Shape{5, 4});
     Tensor c(Shape{2, 5});
     EXPECT_THROW(gemm_bt(a, bt, c), InvalidArgument);
     EXPECT_THROW(detail::gemm_bt_lanes(5, a.data(), a.data(), c.data(), 1, 1, 1), InvalidArgument);
-}
-
-TEST(Ops, AddBiasRows) {
-    Tensor y(Shape{2, 3});
-    Tensor bias(Shape{3});
-    bias.at(0) = 1.0F;
-    bias.at(1) = 2.0F;
-    bias.at(2) = 3.0F;
-    add_bias_rows(y, bias);
-    EXPECT_EQ(y.at(0, 0), 1.0F);
-    EXPECT_EQ(y.at(1, 2), 3.0F);
 }
 
 }  // namespace
